@@ -3,14 +3,15 @@
 Every equivalence class whose ancestor recursion can stop early falls into
 one of these: nine aabaa-family languages and their negations, six
 three-block languages, and six short singletons. Each entry carries the
-canonical representative and a hand-compiled acceptor for the cube-collapsed
-members of the class.
+canonical representative, a star expression for display, and a regular
+expression for the cube-collapsed members of the class. The languages are
+pairwise disjoint (tested), so one alternation of all thirty, one capturing
+group per entry, names the class of a stop word in a single match.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import words
 from .reductions import _check_r1
@@ -20,82 +21,54 @@ from .reductions import _check_r1
 class ClassPattern:
     representative: str
     pattern: str  # star expression for display
-    accept: Callable[[str], bool] = field(compare=False)
+    regex: re.Pattern[str] = field(compare=False)
 
     def accepts(self, w: str) -> bool:
-        return self.accept(w)
+        return self.regex.fullmatch(w) is not None
 
 
-def _rx(expr: str) -> Callable[[str], bool]:
-    compiled = re.compile(expr)
-    return lambda w: compiled.fullmatch(w) is not None
-
-
-def _exact(rep: str) -> Callable[[str], bool]:
-    return lambda w: w == rep
-
-
-def _special_a(w: str) -> bool:
-    # (aab)^{n0} (b (aab)^{ni})* aa with n0 >= 2, at least one separator
-    # group, every separator group count >= 1. Tokenising over the prefix
-    # code {aab, b} makes the block counts explicit.
-    if not w.endswith("aa"):
-        return False
-    body = w[:-2].replace("aab", "A")
-    if not set(body) <= {"A", "b"}:
-        return False
-    groups = body.split("b")
-    if len(groups) < 2 or "" in groups:
-        return False
-    return len(groups[0]) >= 2
-
-
-def _special_b(w: str) -> bool:
-    return _special_a(words.negate(w))
-
-
-_SPECIAL_EXPR = "(aab)^2(aab)*(b(aab)*aab)*(baa)*(baa)^2"
-
-
-def _negated(entry: tuple[str, str, Callable[[str], bool]]):
-    rep, expr, accept = entry
-    neg_expr = expr.translate(words.NEGATE)
-    return words.negate(rep), neg_expr, lambda w: accept(words.negate(w))
-
-
-_A_FAMILY: list[tuple[str, str, Callable[[str], bool]]] = [
-    ("aabaa", "aabaa", _exact("aabaa")),
-    ("aabaab", "(aab)^2(aab)*", _rx(r"(?:aab){2,}")),
-    ("baabaa", "(baa)*(baa)^2", _rx(r"(?:baa){2,}")),
-    ("baabaab", "(baa)^2(baa)*b", _rx(r"(?:baa){2,}b")),
-    ("aabaabb", "(aab)^2(aab)*b", _rx(r"(?:aab){2,}b")),
-    ("bbaabaa", "b(baa)*(baa)^2", _rx(r"b(?:baa){2,}")),
-    ("aabaaba", "(aab)^2(aab)*a", _rx(r"(?:aab){2,}a")),
-    ("abaabaa", "a(baa)*(baa)^2", _rx(r"a(?:baa){2,}")),
-    ("aabaabbaabaa", _SPECIAL_EXPR, _special_a),
+# (representative, display pattern, regex source). The negated entries
+# exchange a and b in all three strings; the sources hold letters and
+# non-capturing syntax only, so the exchange touches nothing else.
+_A_FAMILY = [
+    ("aabaa", "aabaa", "aabaa"),
+    ("aabaab", "(aab)^2(aab)*", r"(?:aab){2,}"),
+    ("baabaa", "(baa)*(baa)^2", r"(?:baa){2,}"),
+    ("baabaab", "(baa)^2(baa)*b", r"(?:baa){2,}b"),
+    ("aabaabb", "(aab)^2(aab)*b", r"(?:aab){2,}b"),
+    ("bbaabaa", "b(baa)*(baa)^2", r"b(?:baa){2,}"),
+    ("aabaaba", "(aab)^2(aab)*a", r"(?:aab){2,}a"),
+    ("abaabaa", "a(baa)*(baa)^2", r"a(?:baa){2,}"),
+    # the display form read over the prefix code {aab, b}: at least two
+    # blocks, then one or more b-separated nonempty groups of blocks
+    (
+        "aabaabbaabaa",
+        "(aab)^2(aab)*(b(aab)*aab)*(baa)*(baa)^2",
+        r"(?:aab){2,}(?:b(?:aab)+)+aa",
+    ),
 ]
 
-_THREE_BLOCK: list[tuple[str, str, Callable[[str], bool]]] = [
-    ("abaabaab", "(aba)*(aba)^2ab", _rx(r"(?:aba){2,}ab")),
-    ("abbabbab", "(abb)*(abb)^2ab", _rx(r"(?:abb){2,}ab")),
-    ("baabaaba", "(baa)*(baa)^2ba", _rx(r"(?:baa){2,}ba")),
-    ("babbabba", "(bab)*(bab)^2ba", _rx(r"(?:bab){2,}ba")),
-    ("bbabbabb", "(bba)*(bba)^2bb", _rx(r"(?:bba){2,}bb")),
-    ("aabaabaa", "(aab)*(aab)^2aa", _rx(r"(?:aab){2,}aa")),
+_THREE_BLOCK = [
+    ("abaabaab", "(aba)*(aba)^2ab", r"(?:aba){2,}ab"),
+    ("abbabbab", "(abb)*(abb)^2ab", r"(?:abb){2,}ab"),
+    ("baabaaba", "(baa)*(baa)^2ba", r"(?:baa){2,}ba"),
+    ("babbabba", "(bab)*(bab)^2ba", r"(?:bab){2,}ba"),
+    ("bbabbabb", "(bba)*(bba)^2bb", r"(?:bba){2,}bb"),
+    ("aabaabaa", "(aab)*(aab)^2aa", r"(?:aab){2,}aa"),
 ]
 
-_SINGLETONS = ["a", "b", "aa", "bb", "ab", "ba"]
+_SINGLETONS = [(s, s, s) for s in ("a", "b", "aa", "bb", "ab", "ba")]
 
+_ENTRIES = (
+    _A_FAMILY
+    + [tuple(part.translate(words.NEGATE) for part in e) for e in _A_FAMILY]
+    + _THREE_BLOCK
+    + _SINGLETONS
+)
 
-def _build() -> tuple[ClassPattern, ...]:
-    entries = list(_A_FAMILY)
-    entries += [_negated(e) for e in _A_FAMILY]
-    entries += _THREE_BLOCK
-    entries += [(s, s, _exact(s)) for s in _SINGLETONS]
-    return tuple(ClassPattern(rep, expr, acc) for rep, expr, acc in entries)
-
-
-_TABLE = _build()
+_TABLE = tuple(ClassPattern(rep, expr, re.compile(rx)) for rep, expr, rx in _ENTRIES)
+_ANY = re.compile("|".join(f"({rx})" for _, _, rx in _ENTRIES))
+_SPECIAL = re.compile(f"{_TABLE[8].regex.pattern}|{_TABLE[17].regex.pattern}")
 
 
 def pattern_table() -> tuple[ClassPattern, ...]:
@@ -106,16 +79,14 @@ def pattern_table() -> tuple[ClassPattern, ...]:
 def match_S(x: str) -> str | None:
     """Representative of the exceptional class containing x, else None.
 
-    x must be cube-collapsed. The acceptors are pairwise disjoint
-    (property-tested); the scan asserts it in debug runs.
+    x must be cube-collapsed. The group that matched names the class.
     """
     _check_r1(x)
-    hits = [p for p in _TABLE if p.accepts(x)]
-    assert len(hits) <= 1, (x, [p.representative for p in hits])
-    return hits[0].representative if hits else None
+    m = _ANY.fullmatch(x)
+    return _TABLE[m.lastindex - 1].representative if m else None
 
 
 def in_special_class(x: str) -> bool:
     """Membership in the one class family that must stop the recursion early."""
     _check_r1(x)
-    return _special_a(x) or _special_b(x)
+    return _SPECIAL.fullmatch(x) is not None

@@ -29,7 +29,8 @@ def frame(u: str) -> Frame:
     lc = (d0 + 1) % 2 if d0 >= 0 else 0
     ld = (len(u) - lc) % 2
     core = u[lc : len(u) - ld]
-    assert words.is_phi_image(core)
+    if not words.is_phi_image(core):
+        raise RuntimeError(f"core of length {len(core)} of a length-{len(u)} word is no image")
     return Frame(u[:lc], core, u[len(u) - ld :] if ld else "")
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-_NEG = str.maketrans("ab", "ba")
+from . import words
 
 CUT = 64  # below this length, brute force every period
 P0 = 16  # anchored periods up to P0 (plus context) are checked directly
@@ -107,20 +107,6 @@ class _Level:
     v: str
 
 
-def _first_double0(w: str) -> int:
-    ia = w.find("aa")
-    ib = w.find("bb")
-    if ia < 0:
-        return ib
-    if ib < 0:
-        return ia
-    return min(ia, ib)
-
-
-def _is_image(w: str) -> bool:
-    return len(w) % 2 == 0 and w[0::2].translate(_NEG) == w[1::2]
-
-
 _COMBOS_EVEN = ((0, 0), (1, 1), (2, 0), (0, 2), (2, 2))
 _COMBOS_ODD = ((0, 1), (1, 0), (1, 2), (2, 1))
 
@@ -128,7 +114,7 @@ _COMBOS_ODD = ((0, 1), (1, 0), (1, 2), (2, 1))
 def _decompose(w: str) -> tuple[str, str, str] | None:
     """Split w as u * image * v with |u|, |v| <= 2, double-letter fringes."""
     n = len(w)
-    d0 = _first_double0(w)
+    d0 = words.first_double(w)
     for lu, lv in _COMBOS_EVEN if n % 2 == 0 else _COMBOS_ODD:
         if lu == 2 and w[0] != w[1]:
             continue
@@ -138,7 +124,7 @@ def _decompose(w: str) -> tuple[str, str, str] | None:
         if lu <= d0 <= n - lv - 2 and (d0 - lu) % 2 == 0:
             continue
         core = w[lu : n - lv]
-        if _is_image(core):
+        if words.is_phi_image(core):
             return w[:lu], core, w[n - lv :]
     return None
 
@@ -198,7 +184,7 @@ def _suffix_anchored(chain: list[_Level], j: int, alpha: str) -> bool:
     # Middle periods. Even ones halve; the context must read as a block
     # sequence for the run to extend past the core at all. Odd ones are
     # impossible here (see module notes).
-    if alpha[1::2] != alpha[0::2].translate(_NEG)[: len(alpha) // 2]:
+    if alpha[1::2] != alpha[0::2].translate(words.NEGATE)[: len(alpha) // 2]:
         return False
     nxt = chain[j + 1]
     return _suffix_anchored(chain, j + 1, nxt.v + alpha[0::2])
@@ -210,7 +196,7 @@ def _mirror(chain: list[_Level]) -> list[_Level]:
     # and the alternation keeps each mirrored level the exact half-image of
     # the one above it
     def nr(x: str) -> str:
-        return x.translate(_NEG)[::-1]
+        return x.translate(words.NEGATE)[::-1]
 
     def rev(x: str) -> str:
         return x[::-1]

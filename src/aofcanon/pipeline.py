@@ -63,7 +63,8 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
     prev_len = None
     while True:
         u = r1(u)
-        assert prev_len is None or 2 * len(u) <= prev_len
+        if prev_len is not None and 2 * len(u) > prev_len:
+            raise RuntimeError(f"round word of length {len(u)} is over half of {prev_len}")
         L.append("")
         R.append("")
         h.append("")

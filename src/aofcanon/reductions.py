@@ -52,6 +52,14 @@ def _sites(w: str):
         prev_pos, prev_c = pos, c
 
 
+def _unprotected(w: str):
+    """The _sites of w not wrapped as ab...ba (aXa) or ba...ab (bXb)."""
+    for s, e, c in _sites(w):
+        before, after = ("ab", "ba") if c == "a" else ("ba", "ab")
+        if not (s >= 2 and w[s - 2 : s] == before and w[e + 1 : e + 3] == after):
+            yield s, e, c
+
+
 def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
     """Unprotected aXa / bXb occurrences in a cube-collapsed word.
 
@@ -61,12 +69,7 @@ def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
     equivalence class in general.
     """
     _check_r1(w)
-    out = []
-    for s, e, c in _sites(w):
-        before, after = ("ab", "ba") if c == "a" else ("ba", "ab")
-        if not (s >= 2 and w[s - 2 : s] == before and w[e + 1 : e + 3] == after):
-            out.append(((s + 1, e + 1), "A" if c == "a" else "B"))
-    return out
+    return [((s + 1, e + 1), "A" if c == "a" else "B") for s, e, c in _unprotected(w)]
 
 
 def is_ab_whole(w: str) -> bool:
@@ -75,11 +78,7 @@ def is_ab_whole(w: str) -> bool:
     if words.is_uniform(w):
         # uniform words have no same-letter consecutive double pairs at all
         return True
-    for s, e, c in _sites(w):
-        before, after = ("ab", "ba") if c == "a" else ("ba", "ab")
-        if not (s >= 2 and w[s - 2 : s] == before and w[e + 1 : e + 3] == after):
-            return False
-    return True
+    return next(_unprotected(w), None) is None
 
 
 _REDEX = re.compile(r"a(?:ab)+?aa|b(?:ba)+?bb")

@@ -64,3 +64,8 @@ def r1_slow(w: str) -> str:
                 changed = True
                 break
     return w
+
+
+def thue_morse(n: int) -> str:
+    """The first n letters of the Thue-Morse word: letter i is b iff i has odd popcount."""
+    return "".join("ab"[i.bit_count() & 1] for i in range(n))

@@ -22,6 +22,8 @@ from aofcanon.classes import pattern_table
 from aofcanon.oracle import OracleAnswer
 from aofcanon.pipeline import Verdict
 
+import _oracles as slow
+
 EXHAUSTIVE_LEN = 14          # every word up to here is enumerable in seconds
 RECOGNIZER_BOUND = 20        # closure bound for the 30 reference classes
 DISJOINT_AOF_LEN = 12        # seeds for the pairwise-disjointness sweep
@@ -69,8 +71,8 @@ def test_01_recognizers_agree_with_closure():
         members = {m for m in res.members
                    if len(m) <= EXHAUSTIVE_LEN and reductions.r1(m) == m}
         for w in reduced:
-            if cp.accept(w) != (w in members):
-                mismatches.append((cp.representative, w, cp.accept(w)))
+            if cp.accepts(w) != (w in members):
+                mismatches.append((cp.representative, w, cp.accepts(w)))
     assert not mismatches, f"{len(mismatches)} recognizer mismatches, first: {mismatches[:5]}"
 
 
@@ -143,13 +145,6 @@ def test_08_uniform_means_reduction_fixed_point():
         assert words.is_uniform(w) == (reductions.complete_reduction(w) == w), w
 
 
-def _thue_morse_prefix(n: int) -> str:
-    w = "a"
-    while len(w) < n:
-        w = words.phi(w)
-    return w[:n]
-
-
 def _timed(w: str) -> float:
     t0 = time.perf_counter()
     pipeline.eqaof(w)
@@ -180,7 +175,7 @@ def test_09_scaling_stays_near_linear():
                 samples[n].append(_timed(base[:n]))
     _check_scaling("random", {n: statistics.median(samples[n]) for n in SCALING_SIZES})
 
-    tm = _thue_morse_prefix(SCALING_SIZES[-1])
+    tm = slow.thue_morse(SCALING_SIZES[-1])
     samples = {n: [] for n in SCALING_SIZES}
     for _ in range(SCALING_TM_ROUNDS):
         for n in SCALING_SIZES:

@@ -32,13 +32,17 @@ def test_representatives_accepted_and_reduced():
 
 
 def test_acceptors_pairwise_disjoint():
-    # match_S asserts this internally; drive it over every cube-collapsed
-    # word up to length 12
-    for w in slow.words_up_to(12):
-        if slow.r1_slow(w) != w:
+    # match_S reports the first of its alternatives that matches, so it is
+    # only right while the thirty languages are disjoint; check every
+    # cube-collapsed word up to length 18 against the per-pattern scan
+    table = classes.pattern_table()
+    for w in slow.words_up_to(18):
+        if "aaa" in w or "bbb" in w:
             continue
-        hits = [p.representative for p in classes.pattern_table() if p.accepts(w)]
+        hits = [p.representative for p in table if p.accepts(w)]
         assert len(hits) <= 1, (w, hits)
+        assert classes.match_S(w) == (hits[0] if hits else None), w
+        assert classes.in_special_class(w) == (table[8].accepts(w) or table[17].accepts(w)), w
 
 
 @pytest.mark.parametrize(

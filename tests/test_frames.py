@@ -35,6 +35,13 @@ def test_frame_rejects_non_uniform():
         frames.frame("aabaabb")
 
 
+def test_frame_core_check_survives_optimisation(monkeypatch):
+    # an explicit error, not an assert, so it also holds under python -O
+    monkeypatch.setattr(words, "is_phi_image", lambda w: False)
+    with pytest.raises(RuntimeError, match="length-4 word"):
+        frames.frame("abba")
+
+
 @given(st.text(alphabet="ab", max_size=150))
 @settings(max_examples=300)
 def test_frame_reassembly(w):

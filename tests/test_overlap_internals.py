@@ -28,20 +28,13 @@ def test_has_cube_agrees_with_slow():
 
 
 def test_has_cube_long_planted():
-    base = _tm(2048)
+    base = slow.thue_morse(2048)
     assert not overlap.has_cube(base)
     for pos in (0, 700, 2000):
         per = 37
         block = base[pos : pos + per]
         planted = base[:pos] + block * 3 + base[pos:]
         assert overlap.has_cube(planted)
-
-
-def _tm(n: int) -> str:
-    w = "a"
-    while len(w) < n:
-        w = words.phi(w)
-    return w[:n]
 
 
 def _mutate(w: str, positions: list[int]) -> str:
@@ -54,7 +47,7 @@ def _mutate(w: str, positions: list[int]) -> str:
 def _families(rng: random.Random):
     lengths = [65, 96, 127, 128, 129, 200, 255, 256, 257, 511, 512, 777, 1024, 2048, 4096]
     for n in lengths:
-        base = _tm(n)
+        base = slow.thue_morse(n)
         yield base
         yield words.negate(base)
         yield words.reverse(base)
@@ -115,7 +108,7 @@ def test_fast_matches_quadratic_exhaustive_just_above_cut():
     # straddle the brute-force cutoff with dense coverage: every mutation
     # of the fixed-point prefix at lengths CUT-1 .. CUT+2
     for n in range(overlap.CUT - 1, overlap.CUT + 3):
-        base = _tm(n)
+        base = slow.thue_morse(n)
         for i in range(n):
             w = _mutate(base, [i])
             assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
@@ -123,14 +116,14 @@ def test_fast_matches_quadratic_exhaustive_just_above_cut():
 
 def test_thue_morse_prefixes_are_overlap_free():
     for n in (1, 2, 3, 100, 1000, 4096, 8192):
-        assert not overlap.has_overlap(_tm(n))
+        assert not overlap.has_overlap(slow.thue_morse(n))
 
 
 def test_overlap_equivariance_long():
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(100, 1500)
-        w = _mutate(_tm(n), rng.sample(range(n), rng.randint(0, 2)))
+        w = _mutate(slow.thue_morse(n), rng.sample(range(n), rng.randint(0, 2)))
         r = overlap.has_overlap(w)
         assert overlap.has_overlap(words.negate(w)) == r
         assert overlap.has_overlap(words.reverse(w)) == r

@@ -56,6 +56,13 @@ def test_ancestor_errors():
         pipeline.ancestor("abc")
 
 
+def test_ancestor_halving_check_survives_optimisation(monkeypatch):
+    # an explicit error, not an assert, so it also holds under python -O
+    monkeypatch.setattr(words, "phi_inverse", lambda w: w)
+    with pytest.raises(RuntimeError, match="over half of 32"):
+        pipeline.ancestor(slow.thue_morse(32))
+
+
 @given(ab_words)
 @settings(max_examples=300)
 def test_ancestor_halves_each_round(w):

@@ -50,6 +50,15 @@ def test_phi_image_matches_slow():
         assert words.is_phi_image(w) == slow.phi_image_slow(w), w
 
 
+def test_phi_iterates_to_thue_morse():
+    # thue_morse(n) is a prefix of thue_morse(m) for n <= m by definition, so
+    # matching every iterate up to 4096 letters covers every shorter prefix
+    w = "a"
+    while len(w) <= 4096:
+        assert w == slow.thue_morse(len(w)), len(w)
+        w = words.phi(w)
+
+
 @pytest.mark.parametrize("w", ["a", "aa", "abb", "aabb"])
 def test_phi_inverse_rejects(w):
     with pytest.raises(NotPhiImage):
