@@ -37,11 +37,15 @@ def _neighbours(w: str, length_bound: int) -> tuple[set[str], bool]:
     return out, clipped
 
 
+def _check_nonempty(w: str, caller: str) -> None:
+    if w == "":
+        raise EmptyInput(f"{caller} needs a nonempty word")
+    words.check_word(w)
+
+
 def pi_neighbours(w: str, length_bound: int) -> set[str]:
     """All single-step rewrites of w within the length bound."""
-    if w == "":
-        raise EmptyInput("pi_neighbours needs a nonempty word")
-    words.check_word(w)
+    _check_nonempty(w, "pi_neighbours")
     if length_bound < len(w):
         raise ValueError(f"length bound {length_bound} below |w| = {len(w)}")
     out, _ = _neighbours(w, length_bound)
@@ -74,9 +78,7 @@ def closure(
     stop_on short-circuits once the given word is generated (the member list
     is then partial, which is all equivalence probing needs).
     """
-    if seed == "":
-        raise EmptyInput("closure needs a nonempty seed")
-    words.check_word(seed)
+    _check_nonempty(seed, "closure")
     if length_bound < len(seed):
         raise ValueError(f"length bound {length_bound} below |seed| = {len(seed)}")
     visited = {seed}
@@ -118,6 +120,8 @@ def oracle_equiv(
     u: str, v: str, length_bound: int, step_bound: int = 1_000_000
 ) -> OracleAnswer:
     """YES when the bounded closures meet; UNKNOWN otherwise, never no."""
+    _check_nonempty(u, "oracle_equiv")
+    _check_nonempty(v, "oracle_equiv")
     if u == v:
         return OracleAnswer.YES
     cu = closure(u, max(length_bound, len(u)), step_bound, stop_on=v)

@@ -22,12 +22,12 @@ from .classes import in_special_class, match_S
 from .errors import EmptyInput
 from .frames import frame
 from .reductions import (
+    _trim,
     complete_reduction,
     detect_non_reducible_tails,
     detect_non_uniform_tails,
     is_ab_whole,
     r1,
-    tail_reduce,
 )
 
 
@@ -80,7 +80,7 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
                 L[-1] = u[0]
             else:
                 R[-1] = u[-1]
-        up = tail_reduce(u) if tails else u
+        up = _trim(u, tails)
         if not is_ab_whole(up) or detect_non_reducible_tails(up):
             anc = u  # the pre-trim word: trimming is only sound when the
             break  # remainder collapses cleanly

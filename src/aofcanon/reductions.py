@@ -74,29 +74,31 @@ def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
 
 def is_ab_whole(w: str) -> bool:
     """True when every aXa / bXb occurrence is wrapped ab...ba / ba...ab."""
-    _check_r1(w)
     if words.is_uniform(w):
-        # uniform words have no same-letter consecutive double pairs at all
+        # no same-letter consecutive doubles, nor a cube (aaa has both parities)
         return True
+    _check_r1(w)
     return next(_unprotected(w), None) is None
 
 
-_REDEX = re.compile(r"a(?:ab)+?aa|b(?:ba)+?bb")
+# Maximal runs of consecutive a-doubles (b-doubles), each pair an aXa (bXb) site
+_RUN_A = re.compile(r"aa(?:b(?:ab)*aa)+")
+_RUN_B = re.compile(r"bb(?:a(?:ba)*bb)+")
 
 
 def complete_reduction(w: str) -> str:
     """Fixpoint of the cube collapse plus the aXa/bXb collapse, any input.
 
-    Strategy: leftmost site, shortest match there. The fixpoint is
-    order-independent (property-tested); uniform words are already fixpoints.
+    After r1 a site is a pair of consecutive doubles of one letter, and
+    collapsing it keeps the first double and makes no cube. So the fixpoint
+    (order-independent, property-tested) keeps the first double of each
+    maximal run of same-letter doubles: one substitution per letter. Its
+    consecutive doubles differ in letter, so sit at even distance, and it
+    is uniform. Uniform words are fixpoints and hold no letter cube.
     """
-    w = r1(w)
-    while not words.is_uniform(w):
-        # non-uniformity means doubles at both parities, and parity only
-        # changes across a same-letter consecutive pair, so a site exists
-        m = _REDEX.search(w)
-        w = r1(w[: m.start()] + m.group()[0] * 2 + w[m.end() :])
-    return w
+    if words.is_uniform(w):
+        return w
+    return _RUN_B.sub("bb", _RUN_A.sub("aa", r1(w)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,23 +157,26 @@ def detect_non_reducible_tails(w: str) -> list[Tail]:
     return _detect(w, NON_REDUCIBLE)
 
 
+def _trim(w: str, tails: list[Tail]) -> str:
+    """Cut each given tail down to its 7 letters next to the rest of w."""
+    start = next((t.end - 7 for t in tails if t.side == "left"), 0)
+    end = next((t.start + 6 for t in tails if t.side == "right"), len(w))
+    return w[start:end]
+
+
 def tail_reduce_left(w: str) -> str:
     """Trim a non-uniform left tail down to its last 7 letters, if present."""
     _check_r1(w)
-    for t in detect_non_uniform_tails(w):
-        if t.side == "left":
-            return w[t.end - 7 :]
-    return w
+    return _trim(w, [t for t in detect_non_uniform_tails(w) if t.side == "left"])
 
 
 def tail_reduce_right(w: str) -> str:
+    """Trim a non-uniform right tail down to its first 7 letters, if present."""
     _check_r1(w)
-    for t in detect_non_uniform_tails(w):
-        if t.side == "right":
-            return w[: t.start + 6]
-    return w
+    return _trim(w, [t for t in detect_non_uniform_tails(w) if t.side == "right"])
 
 
 def tail_reduce(w: str) -> str:
-    """Trim both non-uniform tails; the two sides commute."""
-    return tail_reduce_right(tail_reduce_left(w))
+    """Trim both non-uniform tails from one detection; the two sides commute."""
+    _check_r1(w)
+    return _trim(w, detect_non_uniform_tails(w))

@@ -44,15 +44,17 @@ def phi(w: str) -> str:
     return out.decode()
 
 
+def _is_image_prefix(x: str) -> bool:
+    # every block pair (x[2i], x[2i+1]) is ab or ba
+    return negate(x[0::2]).startswith(x[1::2])
+
+
 def is_phi_image(w: str) -> bool:
     """True when w = phi(x) for some word x.
 
-    Images are exactly the even-length words whose block pairs are ab or ba,
-    i.e. the second half-sample is the negation of the first.
+    Images are exactly the even-length words whose block pairs are ab or ba.
     """
-    if len(w) % 2:
-        return False
-    return negate(w[0::2]) == w[1::2]
+    return len(w) % 2 == 0 and _is_image_prefix(w)
 
 
 def phi_inverse(w: str) -> str:
@@ -81,26 +83,11 @@ def first_double(w: str) -> int:
 def is_uniform(w: str) -> bool:
     """All double-letter factors start at positions of one parity.
 
-    Letter-alternating words are vacuously uniform. Equivalent to being a
-    factor of some morphism image.
+    Letter-alternating words are vacuously uniform. No double starts at an
+    even 0-indexed position iff each pair (w[2i], w[2i+1]) is ab or ba, iff
+    w is a prefix of a morphism image; dropping a letter swaps the parities.
     """
-    b = w.encode()
-    e = b[0::2]
-    o = b[1::2]
-    # A double at an even 0-indexed position pairs e[i] with o[i]; at an odd
-    # position it pairs o[i] with e[i+1].
-    even_dbl = _any_eq(e[: len(o)], o)
-    odd_dbl = _any_eq(o[: max(0, len(e) - 1)], e[1:])
-    return not (even_dbl and odd_dbl)
-
-
-def _any_eq(x: bytes, y: bytes) -> bool:
-    # Some position where x and y agree, i.e. a zero byte in their xor.
-    n = len(x)
-    if n == 0:
-        return False
-    d = int.from_bytes(x, "big") ^ int.from_bytes(y[:n], "big")
-    return b"\x00" in d.to_bytes(n, "big")
+    return _is_image_prefix(w) or _is_image_prefix(w[1:])
 
 
 def is_cube_free(w: str) -> bool:

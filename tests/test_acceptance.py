@@ -40,6 +40,7 @@ SCALING_SIZES = [2 ** k for k in range(14, 21)]
 SCALING_FAMILIES = 8         # independent random base words, sliced to prefixes
 SCALING_ROUNDS = 3           # timed passes over every (family, size) pair
 SCALING_TM_ROUNDS = 5
+SCALING_RUN_SIZES = [2 ** k for k in range(12, 18)]
 MAX_DOUBLING_RATIO = 3.0
 MIN_LETTERS_PER_SEC = 1e6
 
@@ -153,7 +154,7 @@ def _timed(w: str) -> float:
 
 def _check_scaling(label: str, meds: dict[int, float]) -> None:
     prev = None
-    for n in SCALING_SIZES:
+    for n in sorted(meds):
         assert n / meds[n] >= MIN_LETTERS_PER_SEC, (label, n, meds[n])
         if prev is not None:
             assert meds[n] / prev <= MAX_DOUBLING_RATIO, (label, n, meds[n] / prev)
@@ -181,3 +182,12 @@ def test_09_scaling_stays_near_linear():
         for n in SCALING_SIZES:
             samples[n].append(_timed(tm[:n]))
     _check_scaling("thue-morse", {n: statistics.median(samples[n]) for n in SCALING_SIZES})
+
+    # every double of ab (aab)^k a belongs to one run of a-doubles, which
+    # complete reduction merges into the first; keyed by true length
+    runs = ["ab" + "aab" * ((n - 3) // 3) + "a" for n in SCALING_RUN_SIZES]
+    samples = {len(w): [] for w in runs}
+    for _ in range(SCALING_TM_ROUNDS):
+        for w in runs:
+            samples[len(w)].append(_timed(w))
+    _check_scaling("ab(aab)^k a", {n: statistics.median(s) for n, s in samples.items()})

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from aofcanon import oracle, words
-from aofcanon.errors import EmptyInput
+from aofcanon.errors import EmptyInput, WordError
 from aofcanon.oracle import OracleAnswer
 
 import _oracles as slow
@@ -95,6 +95,16 @@ def test_oracle_equiv():
     assert oracle.oracle_equiv("ab", "ba", 10) == OracleAnswer.UNKNOWN
     # genuinely different classes stay unknown at any bound we can afford
     assert oracle.oracle_equiv("aabaa", "aa", 18) == OracleAnswer.UNKNOWN
+
+
+def test_oracle_equiv_validates_equal_words():
+    # equal inputs take a shortcut, which must not skip the checks closure makes
+    with pytest.raises(EmptyInput):
+        oracle.oracle_equiv("", "", 5)
+    with pytest.raises(WordError):
+        oracle.oracle_equiv("xyz", "xyz", 5)
+    with pytest.raises(WordError):
+        oracle.oracle_equiv("ab", "abc", 5)
 
 
 def test_enumerate_aof_matches_slow():

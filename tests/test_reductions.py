@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aofcanon import reductions, words
+from aofcanon import pipeline, reductions, words
 from aofcanon.errors import NotR1Reduced
 from aofcanon.reductions import Tail
 
@@ -43,6 +43,16 @@ def test_complete_reduction_example():
     assert reductions.complete_reduction("abaabaaba") == "abaaba"
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 1_000, 2 ** 15])
+def test_complete_reduction_of_a_long_site_run(k):
+    # every double of ab (aab)^k a is an a-double, so all k of them merge
+    # into the first; a reduction that rebuilt the word once per collapsed
+    # site took quadratic time here
+    w = "ab" + "aab" * k + "a"
+    assert reductions.complete_reduction(w) == "abaaba"
+    assert pipeline.eqaof(w) == "abaaba"
+
+
 def test_complete_reduction_fixpoint_iff_uniform():
     for w in slow.words_up_to(12):
         assert (reductions.complete_reduction(w) == w) == words.is_uniform(w), w
@@ -54,7 +64,7 @@ def test_complete_reduction_lands_uniform(w):
     assert words.is_uniform(reductions.complete_reduction(w))
 
 
-_REDEX = re.compile(r"a(?:ab)+?aa|b(?:ba)+?bb")
+_SITE = re.compile(r"a(?:ab)+?aa|b(?:ba)+?bb")  # one aXa / bXb site
 
 
 def _random_order_reduction(w: str, rng: random.Random) -> str:
@@ -62,7 +72,7 @@ def _random_order_reduction(w: str, rng: random.Random) -> str:
     while True:
         sites = []
         for i in range(len(w)):
-            m = _REDEX.match(w, i)
+            m = _SITE.match(w, i)
             if m:
                 sites.append((m.start(), m.end()))
         if not sites:
@@ -74,6 +84,8 @@ def _random_order_reduction(w: str, rng: random.Random) -> str:
 
 def test_complete_reduction_order_independent():
     rng = random.Random(417)
+    for w in slow.words_up_to(14):
+        assert _random_order_reduction(w, rng) == reductions.complete_reduction(w), w
     for _ in range(250):
         n = rng.randint(4, 48)
         w = "".join(rng.choice("ab") for _ in range(n))
@@ -165,3 +177,13 @@ def test_tail_reduce_keeps_seven_of_span():
     (t,) = reductions.detect_non_uniform_tails(w)
     assert (t.side, t.start, t.end) == ("left", 1, 11)
     assert reductions.tail_reduce_left(w) == w[t.end - 7 :]
+
+
+def test_tail_reduce_sides_commute_exhaustive():
+    # tail_reduce trims both sides from one detection on the whole word
+    for w in slow.words_up_to(16):
+        if "aaa" in w or "bbb" in w:
+            continue
+        both = reductions.tail_reduce(w)
+        assert both == reductions.tail_reduce_right(reductions.tail_reduce_left(w)), w
+        assert both == reductions.tail_reduce_left(reductions.tail_reduce_right(w)), w

@@ -1,4 +1,8 @@
-"""The benchmark's traced run names layer functions that must keep existing."""
+"""Checks on the test and benchmark tooling itself.
+
+The benchmark's traced run names layer functions that must keep existing,
+and the slow references must stay independent of the package they check.
+"""
 from __future__ import annotations
 
 import ast
@@ -6,6 +10,7 @@ import importlib
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ORACLES = Path(__file__).resolve().parent / "_oracles.py"
 
 
 def _layers() -> dict[str, tuple[str, ...]]:
@@ -26,3 +31,16 @@ def test_traced_layers_exist():
         module = importlib.import_module(f"aofcanon.{mod}")
         for fn in fns:
             assert callable(getattr(module, fn, None)), f"{mod}.{fn}"
+
+
+def test_slow_oracles_import_nothing_from_the_package():
+    # a reference that called the fast path would test the code against itself
+    imported = []
+    for node in ast.walk(ast.parse(ORACLES.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    for name in imported:
+        assert name.split(".")[0] not in ("", "aofcanon"), name

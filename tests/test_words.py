@@ -72,7 +72,7 @@ def test_first_double_matches_scan():
 
 
 def test_uniform_matches_slow_exhaustive():
-    for w in slow.words_up_to(12):
+    for w in slow.words_up_to(16):
         assert words.is_uniform(w) == slow.uniform_slow(w), w
 
 
