@@ -5,6 +5,9 @@ fringe letters c, d are empty or single letters. The split is forced: the
 parity of the first double-letter position dictates |c| (doubles inside a
 morphism image start at odd 0-indexed offsets), and |d| mops up the length
 parity. The core is the maximal morphism-image factor in that alignment.
+A word is uniform exactly when that core is a morphism image: a double
+crossing either end of the core sits at the parity of the first double too.
+So the image test on the core is also the uniformity check.
 """
 from __future__ import annotations
 
@@ -23,14 +26,12 @@ class Frame:
 
 def frame(u: str) -> Frame:
     """Split a uniform word into fringe letters and morphism-image core."""
-    if not words.is_uniform(u):
-        raise NotUniform(f"not uniform: {u[:32]!r}")
     d0 = words.first_double(u)
     lc = (d0 + 1) % 2 if d0 >= 0 else 0
     ld = (len(u) - lc) % 2
     core = u[lc : len(u) - ld]
     if not words.is_phi_image(core):
-        raise RuntimeError(f"core of length {len(core)} of a length-{len(u)} word is no image")
+        raise NotUniform(f"not uniform: {u[:32]!r}")
     return Frame(u[:lc], core, u[len(u) - ld :] if ld else "")
 
 

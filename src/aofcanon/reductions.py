@@ -8,6 +8,11 @@ Three layers, matching the structure of the rewriting system:
   tail_reduce        trim the two non-uniform boundary patterns that block
                      equivalence-preserving reduction at the word ends
 
+In a cube-collapsed word a site is a pair of consecutive doubles of one
+letter, so sites come in maximal runs of same-letter doubles. The collapse
+and the protection check both read sites from the one match per run of
+_RUN_A / _RUN_B.
+
 Spans in reports are 1-indexed and inclusive.
 """
 from __future__ import annotations
@@ -32,32 +37,30 @@ def _check_r1(w: str) -> None:
         raise NotR1Reduced(f"letter cube present: {w[:32]!r}")
 
 
-_DOUBLE = re.compile(r"aa|bb")
-
-
-def _sites(w: str):
-    """Yield (start0, end0, letter) for each aXa / bXb occurrence.
-
-    In a cube-collapsed word these are exactly the consecutive same-letter
-    double pairs: the stretch between consecutive doubles is alternating by
-    definition, and same-letter consecutive doubles always sit at odd
-    distance (an even distance would force a third double between them).
-    """
-    prev_pos = -1
-    prev_c = ""
-    for m in _DOUBLE.finditer(w):
-        pos, c = m.start(), w[m.start()]
-        if prev_pos >= 0 and prev_c == c:
-            yield prev_pos, pos + 1, c
-        prev_pos, prev_c = pos, c
+# Maximal runs of consecutive a-doubles (b-doubles), each pair an aXa (bXb) site
+_RUN_A = re.compile(r"aa(?:b(?:ab)*aa)+")
+_RUN_B = re.compile(r"bb(?:a(?:ba)*bb)+")
+# each run expression with its double and the pairs that protect its sites
+_RUNS = ((_RUN_A, "aa", "ab", "ba"), (_RUN_B, "bb", "ba", "ab"))
 
 
 def _unprotected(w: str):
-    """The _sites of w not wrapped as ab...ba (aXa) or ba...ab (bXb)."""
-    for s, e, c in _sites(w):
-        before, after = ("ab", "ba") if c == "a" else ("ba", "ab")
-        if not (s >= 2 and w[s - 2 : s] == before and w[e + 1 : e + 3] == after):
-            yield s, e, c
+    """Yield (start0, end0, letter) for each aXa / bXb site not wrapped as
+    ab...ba (aXa) or ba...ab (bXb), a-sites first, each letter left to right.
+
+    Inside a run each site is wrapped by its neighbours, so only the first
+    site can lack the pair before it and only the last the pair after it.
+    """
+    for rx, dd, before, after in _RUNS:
+        for m in rx.finditer(w):
+            s, e = m.span()
+            if s < 2 or w[s - 2 : s] != before:
+                second = w.find(dd, s + 2)
+                yield s, second + 1, dd[0]
+                if second == e - 2:
+                    continue  # a one-site run is reported once
+            if w[e : e + 2] != after:
+                yield w.rfind(dd, s, e - 2), e - 1, dd[0]
 
 
 def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
@@ -69,7 +72,7 @@ def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
     equivalence class in general.
     """
     _check_r1(w)
-    return [((s + 1, e + 1), "A" if c == "a" else "B") for s, e, c in _unprotected(w)]
+    return [((s + 1, e + 1), "A" if c == "a" else "B") for s, e, c in sorted(_unprotected(w))]
 
 
 def is_ab_whole(w: str) -> bool:
@@ -79,11 +82,6 @@ def is_ab_whole(w: str) -> bool:
         return True
     _check_r1(w)
     return next(_unprotected(w), None) is None
-
-
-# Maximal runs of consecutive a-doubles (b-doubles), each pair an aXa (bXb) site
-_RUN_A = re.compile(r"aa(?:b(?:ab)*aa)+")
-_RUN_B = re.compile(r"bb(?:a(?:ba)*bb)+")
 
 
 def complete_reduction(w: str) -> str:

@@ -54,6 +54,31 @@ def phi_image_slow(w: str) -> bool:
     return all(w[2 * i + 1] == _FLIP[w[2 * i]] for i in range(len(w) // 2))
 
 
+def unprotected_sites_slow(w: str) -> list[tuple[tuple[int, int], str]]:
+    """((start, end), class) of each aXa / bXb site of a cube-collapsed word
+    that is not wrapped as ab...ba / ba...ab; spans 1-indexed, left to right.
+
+    A site runs from a double cc to the next double, when that is cc again.
+    """
+    n = len(w)
+    out = []
+    for i in range(n - 1):
+        for j in range(i + 3, n):
+            c = w[i]
+            if not (w[i + 1] == c and w[j - 1] == c and w[j] == c):
+                continue
+            if any(w[k] == w[k + 1] for k in range(i + 1, j - 1)):
+                continue
+            before, after = ("ab", "ba") if c == "a" else ("ba", "ab")
+            wrapped = (
+                i >= 2 and w[i - 2] == before[0] and w[i - 1] == before[1]
+                and j + 2 < n and w[j + 1] == after[0] and w[j + 2] == after[1]
+            )
+            if not wrapped:
+                out.append(((i + 1, j + 1), "A" if c == "a" else "B"))
+    return out
+
+
 def r1_slow(w: str) -> str:
     changed = True
     while changed:

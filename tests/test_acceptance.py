@@ -183,11 +183,18 @@ def test_09_scaling_stays_near_linear():
             samples[n].append(_timed(tm[:n]))
     _check_scaling("thue-morse", {n: statistics.median(samples[n]) for n in SCALING_SIZES})
 
-    # every double of ab (aab)^k a belongs to one run of a-doubles, which
-    # complete reduction merges into the first; keyed by true length
-    runs = ["ab" + "aab" * ((n - 3) // 3) + "a" for n in SCALING_RUN_SIZES]
-    samples = {len(w): [] for w in runs}
-    for _ in range(SCALING_TM_ROUNDS):
-        for w in runs:
-            samples[len(w)].append(_timed(w))
-    _check_scaling("ab(aab)^k a", {n: statistics.median(s) for n, s in samples.items()})
+    run_families = {
+        # every double belongs to one run of a-doubles, which complete
+        # reduction merges into the first
+        "ab(aab)^k a": lambda n: "ab" + "aab" * ((n - 3) // 3) + "a",
+        # a short protected run every 7 letters, a-runs and b-runs in turn:
+        # the most runs for the site check to visit one by one
+        "ab(aabaababbabbab)^k": lambda n: "ab" + "aabaababbabbab" * ((n - 2) // 14),
+    }
+    for label, make in run_families.items():
+        runs = [make(n) for n in SCALING_RUN_SIZES]
+        samples = {len(w): [] for w in runs}  # keyed by true length
+        for _ in range(SCALING_TM_ROUNDS):
+            for w in runs:
+                samples[len(w)].append(_timed(w))
+        _check_scaling(label, {n: statistics.median(s) for n, s in samples.items()})

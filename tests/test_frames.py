@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from aofcanon import frames, reductions, words
 from aofcanon.errors import NotUniform
 
+import _oracles as slow
+
 
 def test_frame_frozen_examples():
     f = frames.frame("abaabbab")
@@ -36,10 +38,21 @@ def test_frame_rejects_non_uniform():
 
 
 def test_frame_core_check_survives_optimisation(monkeypatch):
-    # an explicit error, not an assert, so it also holds under python -O
+    # the core's image test is the uniformity check: an explicit raise, not
+    # an assert, so it also holds under python -O
     monkeypatch.setattr(words, "is_phi_image", lambda w: False)
-    with pytest.raises(RuntimeError, match="length-4 word"):
+    with pytest.raises(NotUniform, match="'abba'"):
         frames.frame("abba")
+
+
+def test_frame_matches_slow_exhaustive():
+    for w in slow.words_up_to(16, min_len=0):
+        if not slow.uniform_slow(w):
+            with pytest.raises(NotUniform):
+                frames.frame(w)
+            continue
+        f = frames.frame(w)
+        assert f.h + f.core + f.t == w, w
 
 
 @given(st.text(alphabet="ab", max_size=150))

@@ -106,6 +106,15 @@ def test_sites_and_wholeness():
     assert reductions.is_ab_whole("aabbaabbaabb")
 
 
+def test_wholeness_matches_slow_exhaustive():
+    for w in slow.words_up_to(16, min_len=0):
+        if "aaa" in w or "bbb" in w:
+            continue
+        expected = slow.unprotected_sites_slow(w)
+        assert reductions.find_whole_violations(w) == expected, w
+        assert reductions.is_ab_whole(w) == (not expected), w
+
+
 def test_wholeness_negation_symmetry():
     for w in slow.words_up_to(10):
         if slow.r1_slow(w) != w:

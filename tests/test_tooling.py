@@ -1,7 +1,8 @@
 """Checks on the test and benchmark tooling itself.
 
 The benchmark's traced run names layer functions that must keep existing,
-and the slow references must stay independent of the package they check.
+the slow references must stay independent of the package they check, and
+the package's invariants must raise rather than assert.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ORACLES = Path(__file__).resolve().parent / "_oracles.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aofcanon"
 
 
 def _layers() -> dict[str, tuple[str, ...]]:
@@ -44,3 +46,12 @@ def test_slow_oracles_import_nothing_from_the_package():
     assert imported
     for name in imported:
         assert name.split(".")[0] not in ("", "aofcanon"), name
+
+
+def test_no_assert_in_package():
+    # python -O strips assert statements; invariants raise instead
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"

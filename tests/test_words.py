@@ -13,7 +13,7 @@ import _oracles as slow
 ab_words = st.text(alphabet="ab", max_size=200)
 
 
-@pytest.mark.parametrize("bad", ["abc", "A", "a b", "ab\n", "1"])
+@pytest.mark.parametrize("bad", ["abc", "A", "a b", "ab\n", "1", "aé"])
 def test_check_word_rejects(bad):
     with pytest.raises(WordError):
         words.check_word(bad)
