@@ -30,10 +30,8 @@ from .reductions import (
     is_ab_whole,
     r1,
     tail_reduce,
-    tail_reduce_left,
-    tail_reduce_right,
 )
-from .frames import Frame, eta, frame, xi
+from .frames import Frame, frame, xi
 from .classes import ClassPattern, in_special_class, match_S, pattern_table
 from .pipeline import PrimarySeries, Verdict, ancestor, decide_equiv, eqaof, normalize
 from .oracle import (
@@ -75,10 +73,7 @@ __all__ = [
     "is_ab_whole",
     "r1",
     "tail_reduce",
-    "tail_reduce_left",
-    "tail_reduce_right",
     "Frame",
-    "eta",
     "frame",
     "xi",
     "ClassPattern",

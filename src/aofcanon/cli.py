@@ -14,11 +14,8 @@ mode the per-word result codes collapse to 0; bad input still aborts with
 from __future__ import annotations
 
 import functools
-import random
-import statistics
 import sys
-import time
-from typing import Callable, Iterator
+from typing import Callable
 
 import click
 
@@ -51,20 +48,15 @@ def _checked(w: str) -> str:
     return words.check_word(w)
 
 
-def _words_in(word: str | None) -> Iterator[str]:
+def _each_word(word: str | None, fn: Callable[[str], tuple[list[str], bool]]) -> None:
+    """Print fn(w) = (lines, positive) for WORD or each stdin line, as the module notes say."""
     if word is not None:
-        yield word
-        return
+        lines, ok = fn(_checked(word))
+        click.echo("\n".join(lines))
+        sys.exit(0 if ok else 1)
     for line in sys.stdin:
-        yield line.rstrip("\r\n")
-
-
-def _emit(lines: list[str], batch: bool) -> None:
-    if batch:
+        lines, _ = fn(_checked(line.rstrip("\r\n")))
         click.echo("; ".join(lines))
-    else:
-        for line in lines:
-            click.echo(line)
 
 
 def _dash(x: str) -> str:
@@ -99,14 +91,7 @@ _PREDICATES: dict[str, Callable[[str], bool]] = {
 def check(predicate: str, word: str | None) -> None:
     """Test WORD against PREDICATE; prints true or false (exit 0 / 1)."""
     fn = _PREDICATES[predicate]
-    batch = word is None
-    all_true = True
-    for w in _words_in(word):
-        v = fn(_checked(w))
-        click.echo("true" if v else "false")
-        all_true = all_true and v
-    if not batch and not all_true:
-        sys.exit(1)
+    _each_word(word, lambda w: (["true"], True) if fn(w) else (["false"], False))
 
 
 _REDUCERS: dict[str, Callable[[str], str]] = {
@@ -123,8 +108,7 @@ _REDUCERS: dict[str, Callable[[str], str]] = {
 def reduce(mode: str, word: str | None) -> None:
     """Rewrite WORD: r1 collapses powers, r reduces fully, rt trims tails."""
     fn = _REDUCERS[mode]
-    for w in _words_in(word):
-        click.echo(fn(_checked(w)))
+    _each_word(word, lambda w: ([fn(w)], True))
 
 
 @main.command()
@@ -132,15 +116,15 @@ def reduce(mode: str, word: str | None) -> None:
 @_data_errors
 def tails(word: str | None) -> None:
     """Report boundary tail patterns, one line each; 'none' without any."""
-    batch = word is None
-    for w in _words_in(word):
-        w = _checked(w)
+
+    def report(w: str) -> tuple[list[str], bool]:
         found = reductions.detect_non_uniform_tails(w) + reductions.detect_non_reducible_tails(w)
-        lines = [
+        return [
             f"side={t.side} class={t.letter_class} family={t.family} span={t.start}..{t.end}"
             for t in found
-        ] or ["none"]
-        _emit(lines, batch)
+        ] or ["none"], True
+
+    _each_word(word, report)
 
 
 @main.command()
@@ -148,14 +132,13 @@ def tails(word: str | None) -> None:
 @_data_errors
 def frames(word: str | None) -> None:
     """Split a uniform WORD into fringe letters and morphism-image core."""
-    batch = word is None
-    for w in _words_in(word):
-        w = _checked(w)
+
+    def report(w: str) -> tuple[list[str], bool]:
         f = frames_mod.frame(w)
-        _emit(
-            [f"h={_dash(f.h)} core={_dash(f.core)} t={_dash(f.t)}", f"xi={frames_mod.xi(w)}"],
-            batch,
-        )
+        lines = [f"h={_dash(f.h)} core={_dash(f.core)} t={_dash(f.t)}", f"xi={frames_mod.xi(w)}"]
+        return lines, True
+
+    _each_word(word, report)
 
 
 @main.command("ancestor")
@@ -164,22 +147,22 @@ def frames(word: str | None) -> None:
 @_data_errors
 def ancestor_cmd(word: str | None, trace: bool) -> None:
     """Run the halving descent; prints the stop word and the round arrays."""
-    batch = word is None
-    for w in _words_in(word):
-        s = pipeline.ancestor(_checked(w), trace=trace)
+
+    def report(w: str) -> tuple[list[str], bool]:
+        s = pipeline.ancestor(w, trace=trace)
         lines = []
         if trace and s.series is not None:
-            for k, u in enumerate(s.series, start=1):
-                i = k - 1
+            for k, (u, left, right, h, t) in enumerate(zip(s.series, s.L, s.R, s.h, s.t), start=1):
                 lines.append(
-                    f"k={k} U={u} L={_dash(s.L[i])} R={_dash(s.R[i])}"
-                    f" h={_dash(s.h[i])} t={_dash(s.t[i])}"
+                    f"k={k} U={u} L={_dash(left)} R={_dash(right)} h={_dash(h)} t={_dash(t)}"
                 )
         lines.append(
             f"anc={s.anc} ell={s.ell}"
             f" L={_csv(s.L)} R={_csv(s.R)} h={_csv(s.h)} t={_csv(s.t)}"
         )
-        _emit(lines, batch)
+        return lines, True
+
+    _each_word(word, report)
 
 
 @main.command("normalize")
@@ -191,18 +174,15 @@ def normalize_cmd(word: str | None) -> None:
     This is the canonical-form pipeline without the final almost
     overlap-free check, so the output can be a non-canonical witness.
     """
-    batch = word is None
-    any_false = False
-    for w in _words_in(word):
-        s = pipeline.ancestor(_checked(w))
+
+    def report(w: str) -> tuple[list[str], bool]:
+        s = pipeline.ancestor(w)
         rep = classes_mod.match_S(s.anc)
         if rep is None:
-            click.echo("FALSE")
-            any_false = True
-        else:
-            click.echo(pipeline.normalize(rep, s))
-    if not batch and any_false:
-        sys.exit(1)
+            return ["FALSE"], False
+        return [pipeline.normalize(rep, s)], True
+
+    _each_word(word, report)
 
 
 @main.command("eqaof")
@@ -210,14 +190,12 @@ def normalize_cmd(word: str | None) -> None:
 @_data_errors
 def eqaof_cmd(word: str | None) -> None:
     """Canonical almost overlap-free form of WORD, or FALSE (exit 1)."""
-    batch = word is None
-    any_false = False
-    for w in _words_in(word):
-        v = pipeline.eqaof(_checked(w))
-        click.echo("FALSE" if v is None else v)
-        any_false = any_false or v is None
-    if not batch and any_false:
-        sys.exit(1)
+
+    def report(w: str) -> tuple[list[str], bool]:
+        v = pipeline.eqaof(w)
+        return ["FALSE" if v is None else v], v is not None
+
+    _each_word(word, report)
 
 
 _VERDICT_CODE = {
@@ -266,15 +244,20 @@ def enum_aof(n: int) -> None:
 @_data_errors
 def closure_cmd(word: str | None, max_len: int, max_steps: int, r1_only: bool) -> None:
     """Bounded rewriting closure of WORD under YY <-> YYY."""
-    batch = word is None
-    for w in _words_in(word):
-        res = oracle_mod.closure(_checked(w), max_len, max_steps)
+
+    def report(w: str) -> tuple[list[str], bool]:
+        try:
+            res = oracle_mod.closure(w, max_len, max_steps)
+        except ValueError as exc:  # the bound is below the word's length
+            raise click.BadParameter(str(exc), param_hint="'--max-len'") from exc
         members = oracle_mod.r1_reduced_members(res) if r1_only else res.members
         header = (
             f"seed={res.seed} bound={res.length_bound}"
             f" exhausted={'true' if res.exhausted else 'false'} count={len(members)}"
         )
-        _emit([header, *members], batch)
+        return [header, *members], True
+
+    _each_word(word, report)
 
 
 @main.group()
@@ -287,53 +270,6 @@ def classes_dump() -> None:
     """Print each class representative with its star-expression pattern."""
     for cp in classes_mod.pattern_table():
         click.echo(f"{cp.representative} {cp.pattern}")
-
-
-def _thue_morse_prefix(n: int) -> str:
-    w = "a"
-    while len(w) < n:
-        w = words.phi(w)
-    return w[:n]
-
-
-def _bench_word(family: str, n: int, rng: random.Random) -> str:
-    if family == "thue-morse":
-        return _thue_morse_prefix(n)
-    return "".join(rng.choices("ab", k=n))
-
-
-@main.command()
-@click.option("--min", "min_n", type=click.IntRange(min=1), default=2**14, show_default=True)
-@click.option("--max", "max_n", type=click.IntRange(min=1), default=2**20, show_default=True)
-@click.option("--doubling/--no-doubling", default=True, help="Sweep sizes by powers of two.")
-@click.option("--runs", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--seed", type=int, default=2026, show_default=True)
-def bench(min_n: int, max_n: int, doubling: bool, runs: int, seed: int) -> None:
-    """Median canonical-form timings on random and Thue-Morse inputs."""
-    rng = random.Random(seed)
-    sizes = []
-    n = min_n
-    while n <= max_n:
-        sizes.append(n)
-        if not doubling:
-            break
-        n *= 2
-    for family in ("random", "thue-morse"):
-        prev = None
-        for n in sizes:
-            w = _bench_word(family, n, rng)
-            times = []
-            for _ in range(runs):
-                t0 = time.perf_counter()
-                pipeline.eqaof(w)
-                times.append(time.perf_counter() - t0)
-            med = statistics.median(times)
-            ratio = "-" if prev is None else f"{med / prev:.2f}"
-            click.echo(
-                f"family={family} n={n} median_s={med:.6f}"
-                f" ratio={ratio} letters_per_s={int(n / med)}"
-            )
-            prev = med
 
 
 if __name__ == "__main__":

@@ -35,11 +35,6 @@ def frame(u: str) -> Frame:
     return Frame(u[:lc], core, u[len(u) - ld :] if ld else "")
 
 
-def eta(u: str) -> str:
-    """The morphism-image core of a uniform word."""
-    return frame(u).core
-
-
 def xi(u: str) -> str:
     """Extend a uniform word by the negated fringe letters on both sides.
 

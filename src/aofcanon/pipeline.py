@@ -99,6 +99,7 @@ def normalize(w: str, series: PrimarySeries) -> str:
     """Rebuild through a recorded descent, starting from stop word w."""
     if w == "":
         raise EmptyInput("normalize needs a nonempty word")
+    words.check_word(w)
     m = series.ell
     while m > 1:
         m -= 1

@@ -162,18 +162,6 @@ def _trim(w: str, tails: list[Tail]) -> str:
     return w[start:end]
 
 
-def tail_reduce_left(w: str) -> str:
-    """Trim a non-uniform left tail down to its last 7 letters, if present."""
-    _check_r1(w)
-    return _trim(w, [t for t in detect_non_uniform_tails(w) if t.side == "left"])
-
-
-def tail_reduce_right(w: str) -> str:
-    """Trim a non-uniform right tail down to its first 7 letters, if present."""
-    _check_r1(w)
-    return _trim(w, [t for t in detect_non_uniform_tails(w) if t.side == "right"])
-
-
 def tail_reduce(w: str) -> str:
     """Trim both non-uniform tails from one detection; the two sides commute."""
     _check_r1(w)

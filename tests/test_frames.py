@@ -14,7 +14,6 @@ import _oracles as slow
 def test_frame_frozen_examples():
     f = frames.frame("abaabbab")
     assert (f.h, f.core, f.t) == ("a", "baabba", "b")
-    assert frames.eta("abaabbab") == "baabba"
     assert frames.xi("abaabbab") == "babaabbaba"
 
     # no double at all: the core starts at the first letter

@@ -164,3 +164,11 @@ def test_normalize_identity_when_single_round():
     s = pipeline.ancestor("aabaa")
     assert s.ell == 1
     assert pipeline.normalize("aabaa", s) == "aabaa"
+
+
+def test_normalize_rejects_bad_stop_words():
+    s = pipeline.ancestor("abaabbabaabbab" * 4)
+    with pytest.raises(EmptyInput):
+        pipeline.normalize("", s)
+    with pytest.raises(WordError):
+        pipeline.normalize("xyz", s)

@@ -172,9 +172,18 @@ def test_tail_detection_symmetry():
             ) == sorted((t.side, t.letter_class, t.start, t.end) for t in rev)
 
 
+def _trim_side(w: str, side: str) -> str:
+    # cut one side's non-uniform tail, detected on w itself, to 7 letters
+    for t in reductions.detect_non_uniform_tails(w):
+        if t.side == side:
+            return w[t.end - 7 :] if side == "left" else w[: t.start + 6]
+    return w
+
+
 def test_tail_reduce_frozen():
     assert reductions.tail_reduce("aabaabbabb") == "abaabbab"
-    assert reductions.tail_reduce_left("aabaabbabb") == "abaabbabb"
+    assert _trim_side("aabaabbabb", "left") == "abaabbabb"
+    assert _trim_side("aabaabbabb", "right") == "aabaabbab"
     # words without tails pass through untouched
     assert reductions.tail_reduce("aabbaabbaabb") == "aabbaabbaabb"
     assert reductions.tail_reduce("ab") == "ab"
@@ -185,14 +194,15 @@ def test_tail_reduce_keeps_seven_of_span():
     w = "aab" * 3 + "ba" + "bbab"
     (t,) = reductions.detect_non_uniform_tails(w)
     assert (t.side, t.start, t.end) == ("left", 1, 11)
-    assert reductions.tail_reduce_left(w) == w[t.end - 7 :]
+    assert reductions.tail_reduce(w) == w[t.end - 7 :]
 
 
 def test_tail_reduce_sides_commute_exhaustive():
-    # tail_reduce trims both sides from one detection on the whole word
+    # tail_reduce trims both sides from one detection on the whole word;
+    # trimming one side and then detecting again on the rest agrees
     for w in slow.words_up_to(16):
         if "aaa" in w or "bbb" in w:
             continue
         both = reductions.tail_reduce(w)
-        assert both == reductions.tail_reduce_right(reductions.tail_reduce_left(w)), w
-        assert both == reductions.tail_reduce_left(reductions.tail_reduce_right(w)), w
+        assert both == _trim_side(_trim_side(w, "left"), "right"), w
+        assert both == _trim_side(_trim_side(w, "right"), "left"), w

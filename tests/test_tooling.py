@@ -1,18 +1,23 @@
 """Checks on the test and benchmark tooling itself.
 
 The benchmark's traced run names layer functions that must keep existing,
-the slow references must stay independent of the package they check, and
-the package's invariants must raise rather than assert.
+the slow references must stay independent of the package they check, the
+package's invariants must raise rather than assert, and the README's
+command table must list the commands the CLI has.
 """
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
+
+from aofcanon.cli import main
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ORACLES = Path(__file__).resolve().parent / "_oracles.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aofcanon"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _layers() -> dict[str, tuple[str, ...]]:
@@ -55,3 +60,10 @@ def test_no_assert_in_package():
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+
+
+def test_readme_command_table_matches_cli():
+    # each table row opens with the command in backticks: | `name ...` | ...
+    rows = re.findall(r"^\| `([a-z][a-z-]*)[ `]", README.read_text(), re.MULTILINE)
+    assert rows
+    assert sorted(rows) == sorted(main.commands)
