@@ -7,9 +7,11 @@ line produces exactly one output line (multi-line reports collapse onto one
 line, parts joined by "; ").
 
 Exit codes: 0 success, 1 negative result (false / FALSE / NOT_EQUIVALENT),
-2 UNKNOWN from equiv, 64 usage error, 65 invalid or empty word. In batch
-mode the per-word result codes collapse to 0; bad input still aborts with
-65.
+2 UNKNOWN from equiv, 64 usage error, 65 invalid or empty word, or a word
+outside the command's contract (check ab-whole and reduce rt need a
+cube-collapsed word, frames a uniform one). In batch mode the per-word
+result codes collapse to 0; a word that would exit 65 alone still aborts the
+stream with 65, after the lines of the words before it.
 """
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """Slow reference implementations the tests compare against.
 
-Everything here is deliberately dumb: nested loops, letter-by-letter
-comparisons, no regexes, and no imports from the package. If a fast path
+Everything here is deliberately dumb: nested loops, letter-by-letter or
+slice comparisons, no regexes, and no imports from the package. If a fast path
 and one of these ever disagree, trust this file.
 """
 from __future__ import annotations
@@ -94,3 +94,27 @@ def r1_slow(w: str) -> str:
 def thue_morse(n: int) -> str:
     """The first n letters of the Thue-Morse word: letter i is b iff i has odd popcount."""
     return "".join("ab"[i.bit_count() & 1] for i in range(n))
+
+
+def _ends_in_overlap(w: str) -> bool:
+    n = len(w)
+    for p in range(1, (n - 1) // 2 + 1):
+        if w[n - 2 * p - 1 : n - p] == w[n - p - 1 :]:
+            return True
+    return False
+
+
+def overlap_free_words(max_len: int) -> Iterator[str]:
+    """Every nonempty overlap-free word of length at most max_len.
+
+    Grows words letter by letter. A one-letter extension of an overlap-free
+    word can only create overlaps that are suffixes, so only those are tested.
+    """
+    stack = ["a", "b"]
+    while stack:
+        w = stack.pop()
+        yield w
+        if len(w) < max_len:
+            for c in "ab":
+                if not _ends_in_overlap(w + c):
+                    stack.append(w + c)

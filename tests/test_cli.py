@@ -82,6 +82,14 @@ def test_frames_rejects_non_uniform(runner):
     assert res.exit_code == 65
 
 
+@pytest.mark.parametrize("args", [("frames",), ("check", "ab-whole")])
+def test_batch_aborts_on_word_outside_contract(runner, args):
+    # aaa is a valid word but not cube-collapsed: the stream stops there
+    res = run(runner, *args, input="ab\naaa\nab\n")
+    assert res.exit_code == 65
+    assert res.stdout.count("\n") == 1
+
+
 def test_ancestor_report(runner):
     res = run(runner, "ancestor", "aabaabbabb")
     assert res.output == "anc=b ell=3 L=a,-,- R=b,-,- h=a,-,- t=b,b,-\n"

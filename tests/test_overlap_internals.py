@@ -1,11 +1,12 @@
-"""Adversarial cross-check of the layered overlap detector.
+"""Cross-checks of the overlap detector against its references.
 
-The fast detector peels morphism layers and only ever checks periods
-directly near the current word's ends, so the families below aim at its
-weak spots: words that are exact morphism images of random cores wrapped in
-every legal fringe, prefixes of the overlap-free fixed point, and small
-mutations of both at the boundaries and in the middle. Everything is
-compared against the quadratic checker, which is itself compared against
+The fast detector tests only the periods 2^k and 3*2^k, on the lemma that
+every square in a binary overlap-free word has such a period. The lemma is
+tested here on every overlap-free word up to a length, and the detector is
+compared with the every-period check on all short words, on single flips of
+Thue-Morse prefixes whose length just admits each tested period, on overlaps
+planted at the ends of a long word, where the bit masks are cut, and on
+mutated morphism images. The every-period check is itself compared against
 the letter-by-letter one on short words.
 """
 from __future__ import annotations
@@ -82,9 +83,8 @@ def _families(rng: random.Random):
 
 
 def test_mirror_alternation_regression():
-    # overlap-free 127-letter word that was misreported as containing an
-    # overlap when the prefix-side mirror used negate-reverse at every
-    # level instead of alternating with plain reverse
+    # an overlap-free 127-letter word that an earlier detector misreported
+    # as containing an overlap
     w = (
         "aababbaabbabaababbabaabbaababbaabbabaabbaababbabaababbaabbab"
         "aababbabaabbaababbabaababbaabbabaabbaababbaabbabaababbabaabb"
@@ -104,14 +104,51 @@ def test_fast_matches_quadratic_on_adversarial_families():
     assert checked > 400
 
 
-def test_fast_matches_quadratic_exhaustive_just_above_cut():
-    # straddle the brute-force cutoff with dense coverage: every mutation
-    # of the fixed-point prefix at lengths CUT-1 .. CUT+2
-    for n in range(overlap.CUT - 1, overlap.CUT + 3):
-        base = slow.thue_morse(n)
-        for i in range(n):
-            w = _mutate(base, [i])
-            assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
+def test_fast_matches_quadratic_exhaustive():
+    for w in slow.words_up_to(16, min_len=0):
+        assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
+
+
+def _tested_periods(top: int) -> list[int]:
+    return sorted(m << k for m in (1, 3) for k in range(top.bit_length()) if m << k <= top)
+
+
+def test_fast_matches_quadratic_on_thue_morse_flips():
+    # lengths 2p+1 and 2p+2 are the first at which period p is scanned
+    for p in _tested_periods(64):
+        for n in (2 * p + 1, 2 * p + 2):
+            base = slow.thue_morse(n)
+            for i in range(n):
+                w = _mutate(base, [i])
+                assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
+
+
+def test_overlaps_planted_at_the_ends():
+    # the first letter sits under the sentinel bit and the last letter at
+    # bit 0, where the agreement masks are cut
+    base = slow.thue_morse(4096)
+    n = len(base)
+    for p in range(1, 41):
+        y = base[100 : 100 + p]
+        for planted in (y + y + y[0], y + y + words.negate(y[0])):
+            for w in (planted + base[len(planted) :], base[: n - len(planted)] + planted):
+                assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), (p, w[:90], w[-90:])
+        assert overlap.has_overlap(y + y + y[0] + base[2 * p + 1 :])
+        assert overlap.has_overlap(base[: n - 2 * p - 1] + y + y + y[0])
+
+
+def test_squares_in_overlap_free_words_have_period_2k_or_3_2k():
+    # the lemma the fast detector rests on (Shelton-Soni); each square of
+    # an overlap-free word ends some prefix, which is itself enumerated
+    allowed = set(_tested_periods(40))
+    count = 0
+    for w in slow.overlap_free_words(80):
+        n = len(w)
+        for p in range(1, n // 2 + 1):
+            if w[n - 2 * p : n - p] == w[n - p :]:
+                assert p in allowed, w
+        count += 1
+    assert count > 20_000
 
 
 def test_thue_morse_prefixes_are_overlap_free():

@@ -2,8 +2,9 @@
 
 The benchmark's traced run names layer functions that must keep existing,
 the slow references must stay independent of the package they check, the
-package's invariants must raise rather than assert, and the README's
-command table must list the commands the CLI has.
+package's modules must import each other without cycles, the package's
+invariants must raise rather than assert, and the README's command table
+must list the commands the CLI has.
 """
 from __future__ import annotations
 
@@ -51,6 +52,31 @@ def test_slow_oracles_import_nothing_from_the_package():
     assert imported
     for name in imported:
         assert name.split(".")[0] not in ("", "aofcanon"), name
+
+
+def test_package_imports_are_acyclic():
+    # a cycle makes import order matter and ties the modules' tests together
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    graph: dict[str, set[str]] = {}
+    for mod in modules:
+        deps = graph[mod] = set()
+        for node in ast.walk(ast.parse((PACKAGE / f"{mod}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                deps.update(n for n in names if n in modules)
+    assert graph["words"]
+
+    done: set[str] = set()
+
+    def visit(mod: str, path: tuple[str, ...]) -> None:
+        assert mod not in path, " -> ".join(path + (mod,))
+        if mod not in done:
+            for dep in sorted(graph[mod]):
+                visit(dep, path + (mod,))
+            done.add(mod)
+
+    for mod in sorted(modules):
+        visit(mod, ())
 
 
 def test_no_assert_in_package():
