@@ -3,8 +3,9 @@
 The descent halves the word each round: cube-collapse, trim non-uniform
 tails (remembering the dropped boundary letters), check that every collapse
 site is protected, collapse completely, strip the fringe, and pull back
-through the morphism. It stops on a short word, on one of the exceptional
-classes, or on a word whose sites cannot all be collapsed safely.
+through the morphism (a uniform trimmed word has no site, letter cube or
+non-reducible tail, so it goes straight to `frame`). It stops on a short
+word, an exceptional class, or a word with a site unsafe to collapse.
 
 The rebuild runs the same tape backwards from a replacement stop word,
 re-wrapping fringes and boundary letters and collapsing a letter-for-letter
@@ -81,15 +82,17 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
             else:
                 R[-1] = u[-1]
         up = _trim(u, tails)
-        if not is_ab_whole(up) or detect_non_reducible_tails(up):
-            anc = u  # the pre-trim word: trimming is only sound when the
-            break  # remainder collapses cleanly
-        up = complete_reduction(up)
+        if not words.is_uniform(up):
+            if not is_ab_whole(up) or detect_non_reducible_tails(up):
+                anc = u  # the pre-trim word: trimming is only sound when the
+                break  # remainder collapses cleanly
+            up = complete_reduction(up)
         f = frame(up)
         h[-1] = f.h
         t[-1] = f.t
         prev_len = len(u)
         u = words.phi_inverse(f.core)
+        del up, f  # the next round holds only its own words, not this one's
     return PrimarySeries(
         len(L), anc, tuple(L), tuple(R), tuple(h), tuple(t), tuple(seen) if trace else None
     )

@@ -11,7 +11,9 @@ Three layers, matching the structure of the rewriting system:
 In a cube-collapsed word a site is a pair of consecutive doubles of one
 letter, so sites come in maximal runs of same-letter doubles. The collapse
 and the protection check both read sites from the one match per run of
-_RUN_A / _RUN_B.
+_RUN_A / _RUN_B. These and the non-uniform tail patterns repeat possessively
+(Python 3.11): a repeat given back never lets the rest match, and Python `re`
+pays superlinear time for greedy nested repeats over one giant run.
 
 Spans in reports are 1-indexed and inclusive.
 """
@@ -20,7 +22,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import words
 from .errors import NotR1Reduced
 
 _R1_A = re.compile(r"aaa+")
@@ -38,8 +39,8 @@ def _check_r1(w: str) -> None:
 
 
 # Maximal runs of consecutive a-doubles (b-doubles), each pair an aXa (bXb) site
-_RUN_A = re.compile(r"aa(?:b(?:ab)*aa)+")
-_RUN_B = re.compile(r"bb(?:a(?:ba)*bb)+")
+_RUN_A = re.compile(r"aa(?:b(?:ab)*+aa)++")
+_RUN_B = re.compile(r"bb(?:a(?:ba)*+bb)++")
 # each run expression with its double and the pairs that protect its sites
 _RUNS = ((_RUN_A, "aa", "ab", "ba"), (_RUN_B, "bb", "ba", "ab"))
 
@@ -77,9 +78,6 @@ def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
 
 def is_ab_whole(w: str) -> bool:
     """True when every aXa / bXb occurrence is wrapped ab...ba / ba...ab."""
-    if words.is_uniform(w):
-        # no same-letter consecutive doubles, nor a cube (aaa has both parities)
-        return True
     _check_r1(w)
     return next(_unprotected(w), None) is None
 
@@ -94,8 +92,6 @@ def complete_reduction(w: str) -> str:
     consecutive doubles differ in letter, so sit at even distance, and it
     is uniform. Uniform words are fixpoints and hold no letter cube.
     """
-    if words.is_uniform(w):
-        return w
     return _RUN_B.sub("bb", _RUN_A.sub("aa", r1(w)))
 
 
@@ -114,13 +110,13 @@ NON_UNIFORM = "nonuniform"
 NON_REDUCIBLE = "nonreducible"
 
 # Left-side patterns; the right-side ones are their reversals and the B ones
-# their negations, so two expressions cover all eight kinds. Greedy matching
-# is safe: the double-letter positions inside a match determine the block
-# counts, so each word has at most one match length per pattern.
+# their negations. Double positions fix the block counts, so each pattern has
+# one match length at most. The non-reducible ones must backtrack: (?:aba)++
+# would swallow the ab that (?:ab){2,} needs in abaababaa.
 _LEFT = {
     NON_UNIFORM: {
-        "A": re.compile(r"(?:aab){2,}ba"),
-        "B": re.compile(r"(?:bba){2,}ab"),
+        "A": re.compile(r"(?:aab){2,}+ba"),
+        "B": re.compile(r"(?:bba){2,}+ab"),
     },
     NON_REDUCIBLE: {
         "A": re.compile(r"(?:aba)+(?:ab){2,}aa"),

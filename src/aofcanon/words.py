@@ -99,11 +99,5 @@ def is_overlap_free(w: str) -> bool:
 
 
 def is_almost_overlap_free(w: str) -> bool:
-    """Every proper factor is overlap-free.
-
-    Equivalent to both maximal proper factors being overlap-free; the word
-    itself may be an overlap (aaa and bbb qualify).
-    """
-    if len(w) <= 2:
-        return True
-    return not (overlap.has_overlap(w[:-1]) or overlap.has_overlap(w[1:]))
+    """Every proper factor is overlap-free; w itself may be an overlap (aaa)."""
+    return not overlap._has_overlap_upto(w, (len(w) - 2) // 2)

@@ -184,6 +184,9 @@ def test_09_scaling_stays_near_linear():
     _check_scaling("thue-morse", {n: statistics.median(samples[n]) for n in SCALING_SIZES})
 
     run_families = {
+        # one giant run of a-doubles, blocked in the first round by its
+        # unprotected first site and then matched against the classes
+        "(aab)^k": lambda n: "aab" * (n // 3),
         # every double belongs to one run of a-doubles, which complete
         # reduction merges into the first
         "ab(aab)^k a": lambda n: "ab" + "aab" * ((n - 3) // 3) + "a",

@@ -115,6 +115,15 @@ def test_wholeness_matches_slow_exhaustive():
         assert reductions.is_ab_whole(w) == (not expected), w
 
 
+def test_uniform_words_have_nothing_to_collapse():
+    # pipeline.ancestor sends a uniform round word straight to frames.frame
+    for w in slow.words_up_to(16, min_len=0):
+        if slow.uniform_slow(w):
+            assert reductions.is_ab_whole(w), w
+            assert reductions.complete_reduction(w) == w, w
+            assert reductions.detect_non_reducible_tails(w) == [], w
+
+
 def test_wholeness_negation_symmetry():
     for w in slow.words_up_to(10):
         if slow.r1_slow(w) != w:

@@ -93,7 +93,7 @@ def test_cube_free_matches_slow_exhaustive():
 
 
 def test_aof_matches_slow_exhaustive():
-    for w in slow.words_up_to(12):
+    for w in slow.words_up_to(14):
         assert words.is_almost_overlap_free(w) == slow.aof_slow(w), w
 
 
@@ -111,6 +111,19 @@ def test_aof_edge_cases():
     assert not words.is_overlap_free("aaa")
     assert not words.is_almost_overlap_free("aaaa")
     assert words.is_almost_overlap_free("")
+
+
+def test_aof_at_the_proper_factor_bound():
+    # y+y+y[0] is an overlap of period p but only the whole word is one, so it
+    # is almost overlap-free; one more letter at either end makes the overlap
+    # a proper factor. These are the periods the single scan tests.
+    tm = slow.thue_morse(64)
+    for p in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64):
+        y = tm[:p]
+        w = y + y + y[0]
+        assert words.is_almost_overlap_free(w) and slow.aof_slow(w), p
+        for v in ("a" + w, "b" + w, w + "a", w + "b"):
+            assert not words.is_almost_overlap_free(v) and not slow.aof_slow(v), (p, v)
 
 
 def test_letter_alternating():
