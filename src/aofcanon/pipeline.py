@@ -1,11 +1,11 @@
 """Ancestor descent, rebuild, and the canonical-form entry points.
 
 The descent halves the word each round: cube-collapse, trim non-uniform
-tails (remembering the dropped boundary letters), check that every collapse
-site is protected, collapse completely, strip the fringe, and pull back
-through the morphism (a uniform trimmed word has no site, letter cube or
-non-reducible tail, so it goes straight to `frame`). It stops on a short
-word, an exceptional class, or a word with a site unsafe to collapse.
+tails (remembering the dropped boundary letters), strip the fringe, and pull
+back through the morphism. `frame`'s core image test decides uniformity: a
+uniform word has no site, letter cube or non-reducible tail, and one `frame`
+rejects is collapsed completely once every site is found protected. It stops
+on a short word, an exceptional class, or a site unsafe to collapse.
 
 The rebuild runs the same tape backwards from a replacement stop word,
 re-wrapping fringes and boundary letters and collapsing a letter-for-letter
@@ -20,7 +20,7 @@ from enum import Enum
 
 from . import words
 from .classes import in_special_class, match_S
-from .errors import EmptyInput
+from .errors import EmptyInput, NotUniform
 from .frames import frame
 from .reductions import (
     _trim,
@@ -82,16 +82,19 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
             else:
                 R[-1] = u[-1]
         up = _trim(u, tails)
-        if not words.is_uniform(up):
+        try:
+            f = frame(up)
+        except NotUniform:  # leave the handler at once: its traceback holds frame's core
+            f = None
+        if f is None:
             if not is_ab_whole(up) or detect_non_reducible_tails(up):
                 anc = u  # the pre-trim word: trimming is only sound when the
                 break  # remainder collapses cleanly
-            up = complete_reduction(up)
-        f = frame(up)
+            f = frame(complete_reduction(up))
         h[-1] = f.h
         t[-1] = f.t
         prev_len = len(u)
-        u = words.phi_inverse(f.core)
+        u = f.core[::2]  # frame has tested that the core is a morphism image
         del up, f  # the next round holds only its own words, not this one's
     return PrimarySeries(
         len(L), anc, tuple(L), tuple(R), tuple(h), tuple(t), tuple(seen) if trace else None

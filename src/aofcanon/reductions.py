@@ -109,35 +109,25 @@ class Tail:
 NON_UNIFORM = "nonuniform"
 NON_REDUCIBLE = "nonreducible"
 
-# Left-side patterns; the right-side ones are their reversals and the B ones
-# their negations. Double positions fix the block counts, so each pattern has
-# one match length at most. The non-reducible ones must backtrack: (?:aba)++
-# would swallow the ab that (?:ab){2,} needs in abaababaa.
+# Left-side patterns, one alternation per family, A branch first; the right-side
+# ones are their reversals and the B ones their negations. An A pattern starts
+# with a and a B one with b, so a side's first letter names its class. Double
+# positions fix the block counts, so each pattern has one match length at most.
+# The non-reducible ones backtrack: (?:aba)++ eats the ab (?:ab){2,} needs.
 _LEFT = {
-    NON_UNIFORM: {
-        "A": re.compile(r"(?:aab){2,}+ba"),
-        "B": re.compile(r"(?:bba){2,}+ab"),
-    },
-    NON_REDUCIBLE: {
-        "A": re.compile(r"(?:aba)+(?:ab){2,}aa"),
-        "B": re.compile(r"(?:bab)+(?:ba){2,}bb"),
-    },
+    NON_UNIFORM: re.compile(r"(?:aab){2,}+ba|(?:bba){2,}+ab"),
+    NON_REDUCIBLE: re.compile(r"(?:aba)+(?:ab){2,}aa|(?:bab)+(?:ba){2,}bb"),
 }
 
 
 def _detect(w: str, family: str) -> list[Tail]:
     out = []
-    for cls, rx in _LEFT[family].items():
-        m = rx.match(w)
-        if m:
-            out.append(Tail("left", cls, family, 1, m.end()))
-            break
-    rev = w[::-1]
-    for cls, rx in _LEFT[family].items():
-        m = rx.match(rev)
-        if m:
-            out.append(Tail("right", cls, family, len(w) - m.end() + 1, len(w)))
-            break
+    m = _LEFT[family].match(w)
+    if m:
+        out.append(Tail("left", w[0].upper(), family, 1, m.end()))
+    m = _LEFT[family].match(w[::-1])
+    if m:
+        out.append(Tail("right", w[-1].upper(), family, len(w) - m.end() + 1, len(w)))
     return out
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from functools import cache
 
 
 def words_up_to(max_len: int, min_len: int = 1) -> Iterator[str]:
@@ -52,6 +53,49 @@ def phi_image_slow(w: str) -> bool:
     if len(w) % 2:
         return False
     return all(w[2 * i + 1] == _FLIP[w[2 * i]] for i in range(len(w) // 2))
+
+
+def _negate(w: str) -> str:
+    return "".join(_FLIP[c] for c in w)
+
+
+@cache
+def _tail_patterns(n: int) -> tuple[tuple[str, str, str], ...]:
+    """(family, class, left-side word) of every tail block pattern of <= n letters.
+
+    Class A: (aab)^k ba with k >= 2 (nonuniform) and (aba)^i (ab)^j aa with
+    i >= 1, j >= 2 (nonreducible); class B: their negations.
+    """
+    out = []
+    for k in range(2, n // 3 + 1):
+        out.append(("nonuniform", "aab" * k + "ba"))
+    for i in range(1, n // 3 + 1):
+        for j in range(2, n // 2 + 1):
+            out.append(("nonreducible", "aba" * i + "ab" * j + "aa"))
+    return tuple(
+        (family, cls, x)
+        for family, a in out
+        if len(a) <= n
+        for cls, x in (("A", a), ("B", _negate(a)))
+    )
+
+
+def tails_slow(w: str) -> list[tuple[str, str, str, int, int]]:
+    """(family, side, class, start, end) for every tail block pattern at an end of w.
+
+    A left tail is a prefix equal to a pattern word, a right tail a suffix
+    equal to its reversal; spans are 1-indexed and inclusive. Every matching
+    block count gets its own entry.
+    """
+    n = len(w)
+    out = []
+    for family, cls, x in _tail_patterns(n):
+        m = len(x)
+        if w[:m] == x:
+            out.append((family, "left", cls, 1, m))
+        if w[n - m :] == x[::-1]:
+            out.append((family, "right", cls, n - m + 1, n))
+    return out
 
 
 def unprotected_sites_slow(w: str) -> list[tuple[tuple[int, int], str]]:
@@ -118,3 +162,44 @@ def overlap_free_words(max_len: int) -> Iterator[str]:
             for c in "ab":
                 if not _ends_in_overlap(w + c):
                     stack.append(w + c)
+
+
+# The window bounds each walk step's scan on seeds of 2^14 letters.
+_WALK_MAX_PERIOD = 16
+_WALK_WINDOW = 64
+
+
+def class_walk(w: str, rng, steps: int) -> str:
+    """Take `steps` random moves inside the class of w and return the word reached.
+
+    A move expands a square YY to the cube YYY or contracts a cube YYY to the
+    square YY, with |Y| <= _WALK_MAX_PERIOD; both keep the class. Each step scans
+    from a random start (wrapping round) for squares and cubes, at least
+    _WALK_WINDOW start positions and on until a square is found. Then on a fair
+    coin it contracts one of the cubes found, or else (or when there is
+    none) expands one of the squares found. A word with no square is alone
+    in its class and stays as it is.
+    """
+    for _ in range(steps):
+        n = len(w)
+        squares, cubes = [], []
+        start = rng.randrange(n) if n else 0
+        for d in range(n):
+            if d >= _WALK_WINDOW and squares:
+                break
+            i = (start + d) % n
+            for p in range(1, min(_WALK_MAX_PERIOD, (n - i) // 2) + 1):
+                y = w[i : i + p]
+                if w[i + p : i + 2 * p] == y:
+                    squares.append((i, p))
+                    if w[i + 2 * p : i + 3 * p] == y:
+                        cubes.append((i, p))
+        if not squares:
+            return w
+        if cubes and rng.random() < 0.5:
+            i, p = rng.choice(cubes)
+            w = w[: i + p] + w[i + 2 * p :]
+        else:
+            i, p = rng.choice(squares)
+            w = w[: i + p] + w[i : i + p] + w[i + p :]
+    return w

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aofcanon import pipeline, words
+from aofcanon.classes import pattern_table
 from aofcanon.errors import EmptyInput, WordError
+from aofcanon.frames import Frame
 from aofcanon.pipeline import Verdict
 
 import _oracles as slow
@@ -58,7 +60,9 @@ def test_ancestor_errors():
 
 def test_ancestor_halving_check_survives_optimisation(monkeypatch):
     # an explicit error, not an assert, so it also holds under python -O
-    monkeypatch.setattr(words, "phi_inverse", lambda w: w)
+    # a frame whose core pulls back to the round word less one letter, so
+    # the descent still ends when nothing checks the halving
+    monkeypatch.setattr(pipeline, "frame", lambda w: Frame("", words.phi(w[1:]), ""))
     with pytest.raises(RuntimeError, match="over half of 32"):
         pipeline.ancestor(slow.thue_morse(32))
 
@@ -172,3 +176,81 @@ def test_normalize_rejects_bad_stop_words():
         pipeline.normalize("", s)
     with pytest.raises(WordError):
         pipeline.normalize("xyz", s)
+
+
+# Class walks: squares expanded to cubes and cubes contracted to squares stay
+# in the class, so they give ground truth for words too long for the oracle.
+WALK_SEED = 20261018
+THREE_BLOCK_REPS = ("abaabaab", "abbabbab", "baabaaba", "babbabba", "bbabbabb", "aabaabaa")
+
+
+def _tm_factors(rng: random.Random) -> list[str]:
+    tm = slow.thue_morse(2**15)
+    out = []
+    for k in range(8, 15):
+        for _ in range(2):
+            start = rng.randrange(len(tm) - 2**k)
+            out.append(tm[start : start + 2**k])
+    return out
+
+
+def _overlap_free_seeds(rng: random.Random) -> list[str]:
+    return rng.sample([w for w in slow.overlap_free_words(40) if len(w) >= 16], 150)
+
+
+def _random_seeds(rng: random.Random) -> list[str]:
+    return ["".join(rng.choice("ab") for _ in range(rng.randint(4, 48))) for _ in range(60)]
+
+
+def test_class_walks_from_thue_morse_factors():
+    rng = random.Random(WALK_SEED)
+    for f in _tm_factors(rng):
+        w = slow.class_walk(f, rng, 60)
+        assert w != f
+        assert pipeline.eqaof(w) == f, len(f)
+
+
+def test_class_walks_from_overlap_free_words():
+    # an almost overlap-free word is its own canonical form, tails and all
+    rng = random.Random(WALK_SEED)
+    for u in _overlap_free_seeds(rng):
+        w = slow.class_walk(u, rng, 20)
+        assert pipeline.eqaof(w) == u, (u, w)
+
+
+def test_class_walks_from_class_representatives():
+    # the three-block classes have no almost overlap-free member at all
+    rng = random.Random(WALK_SEED)
+    reps = [cp.representative for cp in pattern_table()]
+    assert set(THREE_BLOCK_REPS) <= set(reps)
+    for rep in reps:
+        want = None if rep in THREE_BLOCK_REPS else rep
+        assert pipeline.eqaof(rep) == want, rep
+        for _ in range(20):
+            w = slow.class_walk(rep, rng, 12)
+            assert pipeline.eqaof(w) == want, (rep, w)
+
+
+def test_class_walks_keep_eqaof_on_random_words():
+    rng = random.Random(WALK_SEED)
+    for u in _random_seeds(rng):
+        want = pipeline.eqaof(u)
+        w = u
+        for _ in range(15):
+            w = slow.class_walk(w, rng, 1)
+            assert pipeline.eqaof(w) == want, (u, w)
+
+
+def test_class_walks_decide_equiv():
+    rng = random.Random(WALK_SEED)
+    seeds = (
+        _tm_factors(rng)[:3]
+        + [cp.representative for cp in pattern_table()]
+        + _overlap_free_seeds(rng)[:40]
+        + _random_seeds(rng)[:40]
+    )
+    for u in seeds:
+        for v in (u, rng.choice(seeds)):
+            cu, cv = pipeline.eqaof(u), pipeline.eqaof(v)
+            got = pipeline.decide_equiv(slow.class_walk(u, rng, 8), slow.class_walk(v, rng, 8))
+            assert (got == Verdict.EQUIVALENT) == (cu is not None and cu == cv), (u, v)

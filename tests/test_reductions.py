@@ -160,6 +160,22 @@ def test_tail_detection_none_on_plain_words():
         assert reductions.detect_non_reducible_tails(w) == []
 
 
+def test_tail_detection_matches_slow_exhaustive():
+    # every word, cube-collapsed or not; the slow reference lists each matching
+    # block count, so one entry per family and side means one match length
+    for w in slow.words_up_to(16, min_len=0):
+        found = slow.tails_slow(w)
+        for family, detect in (
+            ("nonuniform", reductions.detect_non_uniform_tails),
+            ("nonreducible", reductions.detect_non_reducible_tails),
+        ):
+            expected = sorted((side, c, s, e) for f, side, c, s, e in found if f == family)
+            assert len({side for side, *_ in expected}) == len(expected), (w, expected)
+            got = detect(w)
+            assert all(t.family == family for t in got), w
+            assert [(t.side, t.letter_class, t.start, t.end) for t in got] == expected, w
+
+
 def test_tail_detection_symmetry():
     # right-side detection is left-side detection on the reversed word,
     # class preserved; negation swaps the class letter

@@ -4,14 +4,18 @@ The benchmark's traced run names layer functions that must keep existing,
 the slow references must stay independent of the package they check, the
 package's modules must import each other without cycles, the package's
 invariants must raise rather than assert, and the README's command table
-must list the commands the CLI has.
+must list the commands the CLI has and its examples must run as shown.
 """
 from __future__ import annotations
 
 import ast
+import doctest
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+from click.testing import CliRunner
 
 from aofcanon.cli import main
 
@@ -93,3 +97,16 @@ def test_readme_command_table_matches_cli():
     rows = re.findall(r"^\| `([a-z][a-z-]*)[ `]", README.read_text(), re.MULTILINE)
     assert rows
     assert sorted(rows) == sorted(main.commands)
+
+
+def test_readme_examples_run():
+    # the quick start is a doctest; each `$ aofcanon ...` line prints the
+    # lines under it, up to the next command or the closing fence
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted and not result.failed
+    text = README.read_text()
+    examples = re.findall(r"^\$ aofcanon (.+)\n((?:[^$`\n].*\n)*)", text, re.MULTILINE)
+    assert examples
+    runner = CliRunner()
+    for args, expected in examples:
+        assert runner.invoke(main, shlex.split(args)).output == expected, args
