@@ -27,14 +27,20 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-_BITS = bytes.maketrans(b"ab", b"01")
+from .errors import WordError
+
+# a -> 0, b -> 1; every other byte -> x, which int(..., 2) rejects
+_BITS = b"x" * 97 + b"01" + b"x" * 157
 
 
 def _has_run(s: str, pairs: Iterable[tuple[int, int]]) -> bool:
     """True when, for some (p, need) in pairs, s has a factor of period p and
     length p + need, i.e. need consecutive j with s[j] == s[j + p]."""
     n = len(s)
-    x = int(b"1" + s.encode().translate(_BITS), 2)
+    try:
+        x = int(b"1" + s.encode().translate(_BITS), 2)
+    except ValueError:  # a byte outside a/b, or a lone surrogate in encode
+        raise WordError(f"not a word over {{a,b}}: {s[:32]!r}") from None
     for p, need in pairs:
         run = ~(x ^ (x >> p)) & ((1 << (n - p)) - 1)
         have = 1

@@ -5,7 +5,10 @@ tails (remembering the dropped boundary letters), strip the fringe, and pull
 back through the morphism. `frame`'s core image test decides uniformity: a
 uniform word has no site, letter cube or non-reducible tail, and one `frame`
 rejects is collapsed completely once every site is found protected. It stops
-on a short word, an exceptional class, or a site unsafe to collapse.
+on a short word, an exceptional class, or a site unsafe to collapse. Each
+round word comes straight out of `r1`, so the round's class and wholeness
+tests are the private cores that skip the cube re-check; `eqaof` validates
+the stop word once, in `match_S`.
 
 The rebuild runs the same tape backwards from a replacement stop word,
 re-wrapping fringes and boundary letters and collapsing a letter-for-letter
@@ -19,15 +22,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import words
-from .classes import in_special_class, match_S
+from .classes import _in_special, match_S
 from .errors import EmptyInput, NotUniform
 from .frames import frame
 from .reductions import (
+    _is_whole,
     _trim,
     complete_reduction,
     detect_non_reducible_tails,
     detect_non_uniform_tails,
-    is_ab_whole,
     r1,
 )
 
@@ -72,7 +75,7 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
         t.append("")
         if trace:
             seen.append(u)
-        if len(u) <= 2 or in_special_class(u):
+        if len(u) <= 2 or _in_special(u):
             anc = u
             break
         tails = detect_non_uniform_tails(u)
@@ -87,7 +90,7 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
         except NotUniform:  # leave the handler at once: its traceback holds frame's core
             f = None
         if f is None:
-            if not is_ab_whole(up) or detect_non_reducible_tails(up):
+            if not _is_whole(up) or detect_non_reducible_tails(up):
                 anc = u  # the pre-trim word: trimming is only sound when the
                 break  # remainder collapses cleanly
             f = frame(complete_reduction(up))

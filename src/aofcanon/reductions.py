@@ -8,6 +8,10 @@ Three layers, matching the structure of the rewriting system:
   tail_reduce        trim the two non-uniform boundary patterns that block
                      equivalence-preserving reduction at the word ends
 
+r1 rebuilds the runs of a letter only when the word holds that letter's
+cube, so a cube-collapsed round word costs two substring searches and no
+copy.
+
 In a cube-collapsed word a site is a pair of consecutive doubles of one
 letter, so sites come in maximal runs of same-letter doubles. The collapse
 and the protection check both read sites from the one match per run of
@@ -29,8 +33,15 @@ _R1_B = re.compile(r"bbb+")
 
 
 def r1(w: str) -> str:
-    """Collapse every maximal single-letter run of length 3 or more to 2."""
-    return _R1_B.sub("bb", _R1_A.sub("aa", w))
+    """Collapse every maximal single-letter run of length 3 or more to 2.
+
+    A letter with no cube costs one substring search and no rebuild.
+    """
+    if "aaa" in w:
+        w = _R1_A.sub("aa", w)
+    if "bbb" in w:
+        w = _R1_B.sub("bb", w)
+    return w
 
 
 def _check_r1(w: str) -> None:
@@ -76,10 +87,14 @@ def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
     return [((s + 1, e + 1), "A" if c == "a" else "B") for s, e, c in sorted(_unprotected(w))]
 
 
+def _is_whole(w: str) -> bool:
+    return next(_unprotected(w), None) is None
+
+
 def is_ab_whole(w: str) -> bool:
     """True when every aXa / bXb occurrence is wrapped ab...ba / ba...ab."""
     _check_r1(w)
-    return next(_unprotected(w), None) is None
+    return _is_whole(w)
 
 
 def complete_reduction(w: str) -> str:

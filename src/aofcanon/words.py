@@ -14,7 +14,8 @@ NEGATE = str.maketrans("ab", "ba")
 
 def is_word(w: str) -> bool:
     """True when w uses only the letters a and b (the empty word counts)."""
-    return w.count("a") + w.count("b") == len(w)
+    # isascii first: it reads a flag, and encode() raises on a lone surrogate
+    return w.isascii() and not w.encode().translate(None, b"ab")
 
 
 def check_word(w: str) -> str:

@@ -94,6 +94,14 @@ def test_in_special_class():
         classes.in_special_class("bbb")
 
 
+def test_private_core_agrees_with_in_special_class():
+    # the descent calls the unvalidated core on words r1 has just returned
+    for w in slow.words_up_to(16):
+        if "aaa" in w or "bbb" in w:
+            continue
+        assert classes._in_special(w) == classes.in_special_class(w), w
+
+
 def test_negation_closure_of_table():
     # the table as a whole is negation-closed; check acceptors agree
     table = classes.pattern_table()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aofcanon import pipeline, words
+from aofcanon import classes, pipeline, reductions, words
 from aofcanon.classes import pattern_table
 from aofcanon.errors import EmptyInput, WordError
 from aofcanon.frames import Frame
@@ -65,6 +65,20 @@ def test_ancestor_halving_check_survives_optimisation(monkeypatch):
     monkeypatch.setattr(pipeline, "frame", lambda w: Frame("", words.phi(w[1:]), ""))
     with pytest.raises(RuntimeError, match="over half of 32"):
         pipeline.ancestor(slow.thue_morse(32))
+
+
+def test_descent_validates_its_words_once(monkeypatch):
+    # every round word comes out of r1, so ancestor never re-checks it for
+    # cubes; eqaof checks the stop word once, in match_S
+    checked = []
+    for mod in (reductions, classes):
+        monkeypatch.setattr(mod, "_check_r1", checked.append)
+    for w in slow.words_up_to(12):
+        pipeline.ancestor(w)
+    assert checked == []
+    for w in slow.words_up_to(12):
+        pipeline.eqaof(w)
+    assert len(checked) == 2 ** 13 - 2
 
 
 @given(ab_words)

@@ -39,6 +39,22 @@ def test_r1_matches_slow_fixpoint(w):
     assert reductions.r1(got) == got
 
 
+def test_r1_matches_slow_exhaustive():
+    for w in slow.words_up_to(16):
+        assert reductions.r1(w) == slow.r1_slow(w), w
+
+
+# runs of 1-40 letters, alternating letters, so that cubes of either letter,
+# both or neither occur: each of r1's two per-letter gates taken or skipped
+_runs = st.lists(st.integers(1, 40), max_size=12)
+
+
+@given(st.sampled_from("ab"), _runs)
+def test_r1_matches_slow_on_runs(first, lengths):
+    w = "".join(("ab" if first == "a" else "ba")[i % 2] * n for i, n in enumerate(lengths))
+    assert reductions.r1(w) == slow.r1_slow(w)
+
+
 def test_complete_reduction_example():
     assert reductions.complete_reduction("abaabaaba") == "abaaba"
 
@@ -113,6 +129,7 @@ def test_wholeness_matches_slow_exhaustive():
         expected = slow.unprotected_sites_slow(w)
         assert reductions.find_whole_violations(w) == expected, w
         assert reductions.is_ab_whole(w) == (not expected), w
+        assert reductions._is_whole(w) == (not expected), w  # the descent's core
 
 
 def test_uniform_words_have_nothing_to_collapse():

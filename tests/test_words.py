@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aofcanon import words
+from aofcanon import overlap, words
 from aofcanon.errors import NotPhiImage, WordError
 
 import _oracles as slow
@@ -13,10 +13,36 @@ import _oracles as slow
 ab_words = st.text(alphabet="ab", max_size=200)
 
 
-@pytest.mark.parametrize("bad", ["abc", "A", "a b", "ab\n", "1", "aé"])
+@pytest.mark.parametrize(
+    "bad", ["abc", "A", "a b", "ab\n", "1", "aé", "ａｂ", "á", "\udcff", "ab\x00"]
+)
 def test_check_word_rejects(bad):
     with pytest.raises(WordError):
         words.check_word(bad)
+
+
+@given(st.text())
+def test_is_word_matches_alphabet_set(w):
+    assert words.is_word(w) == (set(w) <= {"a", "b"})
+
+
+@pytest.mark.parametrize(
+    "bad", ["ab ", "a_b", "000", "abab\n", "\tab", "aé", "ａｂ", "\udcff"]
+)
+@pytest.mark.parametrize(
+    "predicate",
+    [
+        words.is_overlap_free,
+        words.is_almost_overlap_free,
+        words.is_cube_free,
+        overlap.brute_has_overlap,
+    ],
+)
+def test_overlap_predicates_reject_non_words(predicate, bad):
+    # the scan reads the word as a base-2 integer, and int() also takes
+    # 0, 1, _ and surrounding whitespace; those must not pass as letters
+    with pytest.raises(WordError):
+        predicate(bad)
 
 
 def test_check_word_accepts_lambda():
