@@ -19,7 +19,6 @@ from .words import (
     negate,
     phi,
     phi_inverse,
-    reverse,
 )
 from .reductions import (
     Tail,
@@ -41,7 +40,6 @@ from .oracle import (
     enumerate_aof,
     oracle_equiv,
     pi_neighbours,
-    r1_reduced_members,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +62,6 @@ __all__ = [
     "negate",
     "phi",
     "phi_inverse",
-    "reverse",
     "Tail",
     "complete_reduction",
     "detect_non_reducible_tails",
@@ -92,6 +89,5 @@ __all__ = [
     "enumerate_aof",
     "oracle_equiv",
     "pi_neighbours",
-    "r1_reduced_members",
     "__version__",
 ]

@@ -242,9 +242,8 @@ def enum_aof(n: int) -> None:
 @click.argument("word", required=False)
 @click.option("--max-len", type=click.IntRange(min=1), required=True, help="Length bound.")
 @click.option("--max-steps", type=click.IntRange(min=1), default=1_000_000, show_default=True)
-@click.option("--r1-only", is_flag=True, help="List only power-collapsed members.")
 @_data_errors
-def closure_cmd(word: str | None, max_len: int, max_steps: int, r1_only: bool) -> None:
+def closure_cmd(word: str | None, max_len: int, max_steps: int) -> None:
     """Bounded rewriting closure of WORD under YY <-> YYY."""
 
     def report(w: str) -> tuple[list[str], bool]:
@@ -252,12 +251,11 @@ def closure_cmd(word: str | None, max_len: int, max_steps: int, r1_only: bool) -
             res = oracle_mod.closure(w, max_len, max_steps)
         except ValueError as exc:  # the bound is below the word's length
             raise click.BadParameter(str(exc), param_hint="'--max-len'") from exc
-        members = oracle_mod.r1_reduced_members(res) if r1_only else res.members
         header = (
             f"seed={res.seed} bound={res.length_bound}"
-            f" exhausted={'true' if res.exhausted else 'false'} count={len(members)}"
+            f" exhausted={'true' if res.exhausted else 'false'} count={len(res.members)}"
         )
-        return [header, *members], True
+        return [header, *res.members], True
 
     _each_word(word, report)
 

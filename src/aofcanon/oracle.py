@@ -13,7 +13,6 @@ from enum import Enum
 
 from . import words
 from .errors import EmptyInput
-from .reductions import r1
 
 
 def _neighbours(w: str, length_bound: int) -> tuple[set[str], bool]:
@@ -104,11 +103,6 @@ def closure(
     return ClosureResult(
         seed, tuple(sorted(visited, key=_sort_key)), exhausted, length_bound, step_bound
     )
-
-
-def r1_reduced_members(result: ClosureResult) -> tuple[str, ...]:
-    """The cube-collapsed words among the closure members."""
-    return tuple(m for m in result.members if r1(m) == m)
 
 
 class OracleAnswer(Enum):

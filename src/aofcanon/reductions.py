@@ -13,9 +13,12 @@ cube, so a cube-collapsed round word costs two substring searches and no
 copy.
 
 In a cube-collapsed word a site is a pair of consecutive doubles of one
-letter, so sites come in maximal runs of same-letter doubles. The collapse
-and the protection check both read sites from the one match per run of
-_RUN_A / _RUN_B. These and the non-uniform tail patterns repeat possessively
+letter, so sites come in maximal runs of same-letter doubles. Inside a run
+each site is wrapped by its neighbours, so only a run's first site can lack
+the pair before it: exactly when its first double follows the other letter's
+double or starts within two letters of the word's start. The same fact read
+on the reversed word finds the last sites that lack the pair after them. The
+site and run patterns and the non-uniform tail patterns repeat possessively
 (Python 3.11): a repeat given back never lets the rest match, and Python `re`
 pays superlinear time for greedy nested repeats over one giant run.
 
@@ -49,30 +52,26 @@ def _check_r1(w: str) -> None:
         raise NotR1Reduced(f"letter cube present: {w[:32]!r}")
 
 
-# Maximal runs of consecutive a-doubles (b-doubles), each pair an aXa (bXb) site
+# Maximal runs of consecutive a-doubles (b-doubles), each pair an aXa (bXb)
+# site; complete_reduction collapses each run to its first double
 _RUN_A = re.compile(r"aa(?:b(?:ab)*+aa)++")
 _RUN_B = re.compile(r"bb(?:a(?:ba)*+bb)++")
-# each run expression with its double and the pairs that protect its sites
-_RUNS = ((_RUN_A, "aa", "ab", "ba"), (_RUN_B, "bb", "ba", "ab"))
+# A run's first site (the group) whose first double follows the other letter's
+# double, or starts within two letters of the word's start. The in-word scans
+# stay apart so that each keeps its literal prefix.
+_OPEN_A = re.compile(r"bb(aab(?:ab)*+aa)")
+_OPEN_B = re.compile(r"aa(bba(?:ba)*+bb)")
+_OPEN_START = re.compile(r"b?(aab(?:ab)*+aa)|a?(bba(?:ba)*+bb)")
 
 
-def _unprotected(w: str):
-    """Yield (start0, end0, letter) for each aXa / bXb site not wrapped as
-    ab...ba (aXa) or ba...ab (bXb), a-sites first, each letter left to right.
-
-    Inside a run each site is wrapped by its neighbours, so only the first
-    site can lack the pair before it and only the last the pair after it.
-    """
-    for rx, dd, before, after in _RUNS:
+def _open_sites(w: str):
+    """Yield the 0-indexed half-open span of each site of w open on the left."""
+    m = _OPEN_START.match(w)
+    if m:
+        yield m.span(m.lastindex)
+    for rx in _OPEN_A, _OPEN_B:
         for m in rx.finditer(w):
-            s, e = m.span()
-            if s < 2 or w[s - 2 : s] != before:
-                second = w.find(dd, s + 2)
-                yield s, second + 1, dd[0]
-                if second == e - 2:
-                    continue  # a one-site run is reported once
-            if w[e : e + 2] != after:
-                yield w.rfind(dd, s, e - 2), e - 1, dd[0]
+            yield m.span(1)
 
 
 def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
@@ -84,11 +83,14 @@ def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
     equivalence class in general.
     """
     _check_r1(w)
-    return [((s + 1, e + 1), "A" if c == "a" else "B") for s, e, c in sorted(_unprotected(w))]
+    n = len(w)
+    spans = set(_open_sites(w))  # a one-site run open at both ends counts once
+    spans.update((n - e, n - s) for s, e in _open_sites(w[::-1]))
+    return [((s + 1, e), "A" if w[s] == "a" else "B") for s, e in sorted(spans)]
 
 
 def _is_whole(w: str) -> bool:
-    return next(_unprotected(w), None) is None
+    return next(_open_sites(w), None) is None and next(_open_sites(w[::-1]), None) is None
 
 
 def is_ab_whole(w: str) -> bool:

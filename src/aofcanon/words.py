@@ -29,10 +29,6 @@ def negate(w: str) -> str:
     return w.translate(NEGATE)
 
 
-def reverse(w: str) -> str:
-    return w[::-1]
-
-
 def phi(w: str) -> str:
     """Thue-Morse morphism: a -> ab, b -> ba."""
     n = len(w)

@@ -132,6 +132,38 @@ def test_wholeness_matches_slow_exhaustive():
         assert reductions._is_whole(w) == (not expected), w  # the descent's core
 
 
+def _doubles_apart(first: str, stretches: list[int]) -> str:
+    """Alternating stretches of the given lengths with a double between each two.
+
+    Each double's letter differs from the letter before it, so the word is
+    cube-collapsed, and every cube-collapsed word splits this way.
+    """
+    alt = "ab" * 21
+    out = (alt if first == "a" else alt[1:])[: stretches[0]]
+    for n in stretches[1:]:
+        d = "b" if out.endswith("a") else "a"
+        out += d + d + (alt[1:] if d == "a" else alt)[:n]
+    return out
+
+
+# stretches of 0-40 letters between up to 8 doubles: long runs of sites, and
+# long alternating stretches next to a word end, which the exhaustive test
+# above cannot reach. Half the stretches are drawn short, since only short
+# ones leave a site open: about half the words have an unprotected site.
+_stretch = st.integers(0, 3) | st.integers(0, 40)
+
+
+@given(st.sampled_from("ab"), st.lists(_stretch, min_size=1, max_size=9))
+@settings(max_examples=300)
+def test_wholeness_matches_slow_on_long_stretches(first, stretches):
+    w = _doubles_apart(first, stretches)
+    assert slow.r1_slow(w) == w
+    expected = slow.unprotected_sites_slow(w)
+    assert reductions.find_whole_violations(w) == expected
+    assert reductions.is_ab_whole(w) == (not expected)
+    assert reductions._is_whole(w) == (not expected)
+
+
 def test_uniform_words_have_nothing_to_collapse():
     # pipeline.ancestor sends a uniform round word straight to frames.frame
     for w in slow.words_up_to(16, min_len=0):
@@ -165,7 +197,7 @@ def test_tail_detection_frozen():
 
     got = reductions.detect_non_reducible_tails("abaababaa")
     assert got == [Tail("left", "A", "nonreducible", 1, 9)]
-    rev = words.reverse("abaababaa")
+    rev = "abaababaa"[::-1]
     assert reductions.detect_non_reducible_tails(rev) == [
         Tail("right", "A", "nonreducible", 1, 9)
     ]
@@ -207,7 +239,7 @@ def test_tail_detection_symmetry():
             assert [(t.side, swap[t.letter_class], t.start, t.end) for t in got] == [
                 (t.side, t.letter_class, t.start, t.end) for t in neg
             ]
-            rev = detect(words.reverse(w))
+            rev = detect(w[::-1])
             flip = {"left": "right", "right": "left"}
             assert sorted(
                 (flip[t.side], t.letter_class, n - t.end + 1, n - t.start + 1) for t in got
