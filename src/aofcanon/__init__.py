@@ -8,7 +8,6 @@ small cases the slow exhaustive way.
 from .errors import EmptyInput, NotPhiImage, NotR1Reduced, NotUniform, WordError
 from .words import (
     check_word,
-    first_double,
     is_almost_overlap_free,
     is_cube_free,
     is_letter_alternating,
@@ -51,7 +50,6 @@ __all__ = [
     "NotUniform",
     "WordError",
     "check_word",
-    "first_double",
     "is_almost_overlap_free",
     "is_cube_free",
     "is_letter_alternating",

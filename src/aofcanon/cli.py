@@ -1,17 +1,19 @@
 """Command-line front end.
 
-Every pipeline stage is exposed as its own subcommand so intermediate
-results can be inspected without touching Python. Where a WORD argument is
-omitted, words are read from standard input, one per line, and each input
-line produces exactly one output line (multi-line reports collapse onto one
-line, parts joined by "; ").
+`eqaof` and `explain` both run the library's one path from word to verdict
+(`pipeline._form`), so `explain` shows the rounds and stages of the very run
+`eqaof` answers from. The other commands each make one library call on the
+word they are given. Where a WORD argument is omitted, words are read from
+standard input, one per line, and each input line produces exactly one
+output line (multi-line reports collapse onto one line, parts joined by "; ").
 
 Exit codes: 0 success, 1 negative result (false / FALSE / NOT_EQUIVALENT),
-2 UNKNOWN from equiv, 64 usage error, 65 invalid or empty word, or a word
-outside the command's contract (check ab-whole and reduce rt need a
-cube-collapsed word, frames a uniform one). In batch mode the per-word
-result codes collapse to 0; a word that would exit 65 alone still aborts the
-stream with 65, after the lines of the words before it.
+2 UNKNOWN from equiv, 64 misuse of the command line, 65 bad input: an
+invalid or empty word, a word outside the command's contract (check
+ab-whole and reduce rt need a cube-collapsed word, frames a uniform one), or
+an equiv batch line that is not exactly two words. In batch mode the
+per-line result codes collapse to 0; a line that would exit 65 still aborts
+the stream with 65, after the output of the lines before it.
 """
 from __future__ import annotations
 
@@ -61,12 +63,8 @@ def _each_word(word: str | None, fn: Callable[[str], tuple[list[str], bool]]) ->
         click.echo("; ".join(lines))
 
 
-def _dash(x: str) -> str:
+def _dash(x: str | None) -> str:
     return x if x else "-"
-
-
-def _csv(xs: tuple[str, ...]) -> str:
-    return ",".join(_dash(x) for x in xs)
 
 
 @click.group()
@@ -143,46 +141,22 @@ def frames(word: str | None) -> None:
     _each_word(word, report)
 
 
-@main.command("ancestor")
+@main.command()
 @click.argument("word", required=False)
-@click.option("--trace", is_flag=True, help="Print each round of the descent.")
 @_data_errors
-def ancestor_cmd(word: str | None, trace: bool) -> None:
-    """Run the halving descent; prints the stop word and the round arrays."""
+def explain(word: str | None) -> None:
+    """Run the whole eqaof path: one line per descent round, then each stage's result."""
 
     def report(w: str) -> tuple[list[str], bool]:
-        s = pipeline.ancestor(w, trace=trace)
-        lines = []
-        if trace and s.series is not None:
-            for k, (u, left, right, h, t) in enumerate(zip(s.series, s.L, s.R, s.h, s.t), start=1):
-                lines.append(
-                    f"k={k} U={u} L={_dash(left)} R={_dash(right)} h={_dash(h)} t={_dash(t)}"
-                )
+        s, rep, v, ok = pipeline._form(w, trace=True)
+        lines = [
+            f"k={k} U={u} L={_dash(left)} R={_dash(right)} h={_dash(h)} t={_dash(t)}"
+            for k, (u, left, right, h, t) in enumerate(zip(s.series, s.L, s.R, s.h, s.t), start=1)
+        ]
         lines.append(
-            f"anc={s.anc} ell={s.ell}"
-            f" L={_csv(s.L)} R={_csv(s.R)} h={_csv(s.h)} t={_csv(s.t)}"
+            f"anc={s.anc} rep={_dash(rep)} rebuilt={_dash(v)} eqaof={v if ok else 'FALSE'}"
         )
-        return lines, True
-
-    _each_word(word, report)
-
-
-@main.command("normalize")
-@click.argument("word", required=False)
-@_data_errors
-def normalize_cmd(word: str | None) -> None:
-    """Rebuild from the class representative of the stop word; may be FALSE.
-
-    This is the canonical-form pipeline without the final almost
-    overlap-free check, so the output can be a non-canonical witness.
-    """
-
-    def report(w: str) -> tuple[list[str], bool]:
-        s = pipeline.ancestor(w)
-        rep = classes_mod.match_S(s.anc)
-        if rep is None:
-            return ["FALSE"], False
-        return [pipeline.normalize(rep, s)], True
+        return lines, ok
 
     _each_word(word, report)
 
@@ -225,7 +199,7 @@ def equiv_cmd(u: str | None, v: str | None) -> None:
     for line in sys.stdin:
         parts = line.split()
         if len(parts) != 2:
-            raise click.UsageError(f"expected two words per line, got {line!r}")
+            raise WordError(f"expected two words per line, got {line.rstrip()!r}")
         verdict = pipeline.decide_equiv(_checked(parts[0]), _checked(parts[1]))
         click.echo(verdict.value)
 

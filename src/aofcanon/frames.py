@@ -24,9 +24,20 @@ class Frame:
     t: str  # right fringe, "" or one letter
 
 
+def _first_double(w: str) -> int:
+    """0-indexed start of the leftmost aa or bb factor, or -1."""
+    ia = w.find("aa")
+    ib = w.find("bb")
+    if ia < 0:
+        return ib
+    if ib < 0:
+        return ia
+    return min(ia, ib)
+
+
 def frame(u: str) -> Frame:
     """Split a uniform word into fringe letters and morphism-image core."""
-    d0 = words.first_double(u)
+    d0 = _first_double(u)
     lc = (d0 + 1) % 2 if d0 >= 0 else 0
     ld = (len(u) - lc) % 2
     core = u[lc : len(u) - ld]

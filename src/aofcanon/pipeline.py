@@ -15,6 +15,10 @@ re-wrapping fringes and boundary letters and collapsing a letter-for-letter
 cube YYY to YY once per round if one appears. When the stop word is swapped
 for its class representative, the rebuilt word is the unique almost
 overlap-free member of the input's class, when one exists.
+
+`_form` is that whole path in one call. `eqaof` returns its rebuilt word
+when the final check passes, and the CLI's `explain` prints its rounds and
+stages, so the two cannot drift apart.
 """
 from __future__ import annotations
 
@@ -122,6 +126,16 @@ def normalize(w: str, series: PrimarySeries) -> str:
     return w
 
 
+def _form(u: str, trace: bool = False) -> tuple[PrimarySeries, str | None, str | None, bool]:
+    """Descent, class representative, rebuild, and whether the rebuild passes the final check."""
+    series = ancestor(u, trace)
+    rep = match_S(series.anc)
+    if rep is None:
+        return series, None, None, False
+    v = normalize(rep, series)
+    return series, rep, v, words.is_almost_overlap_free(v)
+
+
 def eqaof(u: str) -> str | None:
     """Canonical almost overlap-free member of u's class, or None.
 
@@ -129,12 +143,8 @@ def eqaof(u: str) -> str | None:
     descent stopping outside the exceptional classes, or the rebuilt word
     failing the final check, both certify that.
     """
-    series = ancestor(u)
-    rep = match_S(series.anc)
-    if rep is None:
-        return None
-    v = normalize(rep, series)
-    return v if words.is_almost_overlap_free(v) else None
+    _, _, v, ok = _form(u)
+    return v if ok else None
 
 
 class Verdict(Enum):

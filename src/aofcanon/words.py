@@ -64,17 +64,6 @@ def is_letter_alternating(w: str) -> bool:
     return "aa" not in w and "bb" not in w
 
 
-def first_double(w: str) -> int:
-    """0-indexed start of the leftmost aa or bb factor, or -1."""
-    ia = w.find("aa")
-    ib = w.find("bb")
-    if ia < 0:
-        return ib
-    if ib < 0:
-        return ia
-    return min(ia, ib)
-
-
 def is_uniform(w: str) -> bool:
     """All double-letter factors start at positions of one parity.
 

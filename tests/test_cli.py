@@ -5,7 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 import aofcanon
+from aofcanon import ancestor, match_S
 from aofcanon.cli import main
+
+import _oracles as slow
 
 
 @pytest.fixture()
@@ -91,55 +94,84 @@ def test_batch_aborts_on_word_outside_contract(runner, args):
 
 
 def test_ancestor_report(runner):
-    res = run(runner, "ancestor", "aabaabbabb")
-    assert res.output == "anc=b ell=3 L=a,-,- R=b,-,- h=a,-,- t=b,b,-\n"
+    # one round line per entry of the library's series, in its order
+    s = ancestor("aabaabbabb")
+    assert (s.anc, s.ell) == ("b", 3)
+    res = run(runner, "explain", "aabaabbabb")
+    *rounds, summary = res.output.splitlines()
+    assert [line.split(" ", 2)[2] for line in rounds] == [
+        f"L={left or '-'} R={right or '-'} h={h or '-'} t={t or '-'}"
+        for left, right, h, t in zip(s.L, s.R, s.h, s.t)
+    ]
+    assert summary.startswith(f"anc={s.anc} ")
 
 
 def test_ancestor_trace(runner):
-    res = run(runner, "ancestor", "aabaabbabb", "--trace")
+    res = run(runner, "explain", "aabaabbabb")
     assert res.output == (
         "k=1 U=aabaabbabb L=a R=b h=a t=b\n"
         "k=2 U=bab L=- R=- h=- t=b\n"
         "k=3 U=b L=- R=- h=- t=-\n"
-        "anc=b ell=3 L=a,-,- R=b,-,- h=a,-,- t=b,b,-\n"
+        "anc=b rep=b rebuilt=aabaabbabb eqaof=aabaabbabb\n"
     )
 
 
 def test_ancestor_trace_batch(runner):
-    res = run(runner, "ancestor", "--trace", input="aabaabbabb\nbab\n")
+    res = run(runner, "explain", input="aabaabbabb\nbab\n")
     assert res.exit_code == 0
     assert res.output == (
         "k=1 U=aabaabbabb L=a R=b h=a t=b; k=2 U=bab L=- R=- h=- t=b;"
-        " k=3 U=b L=- R=- h=- t=-; anc=b ell=3 L=a,-,- R=b,-,- h=a,-,- t=b,b,-\n"
+        " k=3 U=b L=- R=- h=- t=-; anc=b rep=b rebuilt=aabaabbabb eqaof=aabaabbabb\n"
         "k=1 U=bab L=- R=- h=- t=b; k=2 U=b L=- R=- h=- t=-;"
-        " anc=b ell=2 L=-,- R=-,- h=-,- t=b,-\n"
+        " anc=b rep=b rebuilt=bab eqaof=bab\n"
     )
 
 
 def test_ancestor_batch(runner):
-    res = run(runner, "ancestor", input="aabaabbabb\nbab\n")
-    assert res.output == (
-        "anc=b ell=3 L=a,-,- R=b,-,- h=a,-,- t=b,b,-\n"
-        "anc=b ell=2 L=-,- R=-,- h=-,- t=b,-\n"
-    )
+    # one output line per input word, ending with that word's stop word
+    res = run(runner, "explain", input="aabaabbabb\nbab\n")
+    summaries = [line.split("; ")[-1] for line in res.output.splitlines()]
+    assert [s.split()[0] for s in summaries] == ["anc=b", "anc=b"]
 
 
 def test_normalize_command(runner):
-    res = run(runner, "normalize", "aabbaabbaabb")
-    assert res.exit_code == 0 and res.output == "aabbaabb\n"
-    # rebuild succeeds but the stop word has no class representative
-    res = run(runner, "normalize", "aabaabab")
-    assert res.exit_code == 1 and res.output == "FALSE\n"
-    # rebuild runs even when the result fails the almost overlap-free check
-    res = run(runner, "normalize", "bababb")
-    assert res.exit_code == 0 and res.output == "bababb\n"
+    res = run(runner, "explain", "aabbaabbaabb")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == "anc=aa rep=aa rebuilt=aabbaabb eqaof=aabbaabb"
+    # the stop word has no class representative, so nothing is rebuilt
+    res = run(runner, "explain", "aabaabab")
+    assert res.exit_code == 1
+    assert res.output.splitlines()[-1] == "anc=aabaabab rep=- rebuilt=- eqaof=FALSE"
+    # the rebuild runs even when the result fails the almost overlap-free check
+    res = run(runner, "explain", "bababb")
+    assert res.exit_code == 1
+    assert res.output.splitlines()[-1] == "anc=aa rep=aa rebuilt=bababb eqaof=FALSE"
 
 
 def test_normalize_batch(runner):
     # a FALSE line does not change the batch exit code
-    res = run(runner, "normalize", input="aabbaabbaabb\naabaabab\n")
+    res = run(runner, "explain", input="aabbaabbaabb\naabaabab\n")
     assert res.exit_code == 0
-    assert res.output == "aabbaabb\nFALSE\n"
+    assert [line.split()[-1] for line in res.output.splitlines()] == [
+        "eqaof=aabbaabb",
+        "eqaof=FALSE",
+    ]
+
+
+def test_explain_agrees_with_eqaof_on_all_short_words(runner):
+    # one batch run over every word of 1-10 letters: the summary's eqaof=
+    # field is the eqaof command's answer, and rep=- marks exactly the stop
+    # words outside the exceptional classes
+    ws = list(slow.words_up_to(10))
+    stdin = "".join(w + "\n" for w in ws)
+    explained = run(runner, "explain", input=stdin)
+    canonical = run(runner, "eqaof", input=stdin)
+    assert explained.exit_code == canonical.exit_code == 0
+    summaries = [line.split("; ")[-1].split() for line in explained.output.splitlines()]
+    assert len(summaries) == len(ws)
+    assert [s[3] for s in summaries] == ["eqaof=" + v for v in canonical.output.splitlines()]
+    for w, s in zip(ws, summaries):
+        assert (s[1] == "rep=-") == (match_S(ancestor(w).anc) is None), w
 
 
 def test_eqaof_exit_codes(runner):
@@ -173,6 +205,15 @@ def test_equiv_batch_pairs(runner):
 def test_equiv_single_word_is_usage_error(runner):
     res = run(runner, "equiv", "abab")
     assert res.exit_code == 64
+
+
+@pytest.mark.parametrize("bad", ["", "abab"], ids=["blank", "one-word"])
+def test_equiv_batch_bad_line_is_data_error(runner, bad):
+    # a blank or one-word line is bad input, not misuse of the command line
+    res = run(runner, "equiv", input=f"abab ababab\n{bad}\na b\n")
+    assert res.exit_code == 65
+    assert res.stdout == "EQUIVALENT\n"
+    assert res.stderr == f"error: expected two words per line, got {bad!r}\n"
 
 
 def test_enum_aof(runner):

@@ -3,8 +3,9 @@
 The benchmark's traced run names layer functions that must keep existing,
 the slow references must stay independent of the package they check, the
 package's modules must import each other without cycles, the package's
-invariants must raise rather than assert, and the README's command table
-must list the commands the CLI has and its examples must run as shown.
+invariants must raise rather than assert, the CLI must run no pipeline
+stage of its own, and the README's command table must list the commands the
+CLI has and its examples must run as shown.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from aofcanon.cli import main
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ORACLES = Path(__file__).resolve().parent / "_oracles.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aofcanon"
+CLI = PACKAGE / "cli.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -90,6 +92,22 @@ def test_no_assert_in_package():
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
             assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+
+
+def test_cli_runs_no_pipeline_stage_of_its_own():
+    # the CLI reaches the descent, class match and rebuild only through the
+    # pipeline's one path, so its output cannot drift from what eqaof does
+    stages = {"ancestor", "normalize", "match_S"}
+    named = []
+    for node in ast.walk(ast.parse(CLI.read_text())):
+        if isinstance(node, ast.Name):
+            named.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named += [alias.name for alias in node.names]
+    assert "eqaof" in named
+    assert not stages & set(named), sorted(stages & set(named))
 
 
 def test_readme_command_table_matches_cli():
