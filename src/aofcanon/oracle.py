@@ -4,6 +4,11 @@ Ground truth for the fast pipeline, at small scale only. The closure of a
 word under both rewrite directions inside a length budget gives a partial
 view of its equivalence class: intersection proves equivalence, and nothing
 here ever proves inequivalence.
+
+A neighbour step reads squares and cubes off `overlap`'s run mask, one per
+period p. All squares (cubes) of period p in one run, a maximal factor of
+period p, rewrite to the same word: expanding one inserts, and contracting
+one deletes, p letters that continue the run. So one word is built per run.
 """
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 
-from . import words
+from . import overlap, words
 from .errors import EmptyInput
 
 
@@ -20,19 +25,22 @@ def _neighbours(w: str, length_bound: int) -> tuple[set[str], bool]:
     out: set[str] = set()
     clipped = False
     n = len(w)
-    for per in range(1, n // 2 + 1):
-        grow_ok = n + per <= length_bound
-        for i in range(0, n - 2 * per + 1):
-            if w[i : i + per] == w[i + per : i + 2 * per]:
-                if grow_ok:
-                    out.add(w[: i + per] + w[i:])
-                else:
-                    clipped = True
-                    break
-    for per in range(1, n // 3 + 1):
-        for i in range(0, n - 3 * per + 1):
-            if w[i : i + per] == w[i + per : i + 2 * per] == w[i + 2 * per : i + 3 * per]:
-                out.add(w[:i] + w[i + per :])
+    x = overlap._as_int(w)
+    for p in range(1, n // 2 + 1):
+        sq = grow = overlap._run_mask(x, n, p, p)
+        if not sq:
+            continue
+        if n + p > length_bound:
+            clipped, grow = True, 0
+        # Bit i: a square at j = n-2p-i, which grows to w[:j+p] + w[j:]; with
+        # bit i+p, a cube at j-p, which shrinks to w[:j-p] + w[j:].
+        for m, d in ((grow, p), (sq & (sq >> p), -p)):
+            m &= ~(m >> 1)  # the leftmost of each run gives the run's one word
+            while m:
+                i = m.bit_length() - 1
+                m ^= 1 << i
+                j = n - 2 * p - i
+                out.add(w[: j + d] + w[j:])
     return out, clipped
 
 

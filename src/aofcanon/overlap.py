@@ -21,7 +21,9 @@ per letter, the last letter lowest, under a leading sentinel 1. Below bit
 n-p, a set bit i of ~(x ^ (x >> p)) says the letters at 0-indexed positions
 n-1-i-p and n-1-i agree. A factor of period p and length p+need is a run of
 `need` set bits, found with about log2(need) shift-and steps. The cost is
-O(n log^2 n / word size) for `has_overlap`.
+O(n log^2 n / word size) for `has_overlap`. The encoding (`_as_int`) and the
+per-period mask (`_run_mask`) are shared: `oracle` reads its squares and
+cubes off the same masks.
 """
 from __future__ import annotations
 
@@ -33,24 +35,31 @@ from .errors import WordError
 _BITS = b"x" * 97 + b"01" + b"x" * 157
 
 
-def _has_run(s: str, pairs: Iterable[tuple[int, int]]) -> bool:
-    """True when, for some (p, need) in pairs, s has a factor of period p and
-    length p + need, i.e. need consecutive j with s[j] == s[j + p]."""
-    n = len(s)
+def _as_int(s: str) -> int:
+    """s read as an integer, as the module note says."""
     try:
-        x = int(b"1" + s.encode().translate(_BITS), 2)
+        return int(b"1" + s.encode().translate(_BITS), 2)
     except ValueError:  # a byte outside a/b, or a lone surrogate in encode
         raise WordError(f"not a word over {{a,b}}: {s[:32]!r}") from None
-    for p, need in pairs:
-        run = ~(x ^ (x >> p)) & ((1 << (n - p)) - 1)
-        have = 1
-        while have < need and run:
-            step = min(have, need - have)
-            run &= run >> step
-            have += step
-        if run:
-            return True
-    return False
+
+
+def _run_mask(x: int, n: int, p: int, need: int) -> int:
+    """Bit i set when a factor of period p and length p + need starts at
+    n-p-need-i in the n-letter word read as x."""
+    run = ~(x ^ (x >> p)) & ((1 << (n - p)) - 1)
+    have = 1
+    while 2 * have < need and run:
+        run &= run >> have
+        have *= 2
+    # have >= need/2 here (or run is 0), so one last step of at most have
+    return run & (run >> (need - have)) if have < need else run
+
+
+def _has_run(s: str, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Some (p, need) in pairs with a factor of period p and length p + need."""
+    n = len(s)
+    x = _as_int(s)
+    return any(_run_mask(x, n, p, need) for p, need in pairs)
 
 
 def _square_periods(top: int) -> Iterable[int]:

@@ -126,23 +126,35 @@ class Tail:
 NON_UNIFORM = "nonuniform"
 NON_REDUCIBLE = "nonreducible"
 
-# Left-side patterns, one alternation per family, A branch first; the right-side
-# ones are their reversals and the B ones their negations. An A pattern starts
-# with a and a B one with b, so a side's first letter names its class. Double
+# Left-side patterns, one per family, A branch first; the right-side ones are
+# their reversals and the B ones their negations. An A pattern starts with a
+# and a B one with b, so a side's first letter names its class. Double
 # positions fix the block counts, so each pattern has one match length at most.
-# The non-reducible ones backtrack: (?:aba)++ eats the ab (?:ab){2,} needs.
+# The non-reducible one is (aba)^i (ab)^j aa, i >= 1, j >= 2. (aba)^i holds no
+# abab, so (ab)^j starts at the word's first abab: one find, one slice compare
+# and one possessive match, where the regex (?:aba)+ would backtrack.
+_NON_REDUCIBLE_REST = re.compile(r"(?:ab){2,}+aa|(?:ba){2,}+bb")
+
+
+def _non_reducible_match(w: str) -> re.Match | None:
+    k = w.find(w[:2] * 2)  # abab or baba when w starts ab or ba
+    if k >= 3 and k % 3 == 0 and w[:k] == (w[:2] + w[:1]) * (k // 3):
+        return _NON_REDUCIBLE_REST.match(w, k)
+    return None
+
+
 _LEFT = {
-    NON_UNIFORM: re.compile(r"(?:aab){2,}+ba|(?:bba){2,}+ab"),
-    NON_REDUCIBLE: re.compile(r"(?:aba)+(?:ab){2,}aa|(?:bab)+(?:ba){2,}bb"),
+    NON_UNIFORM: re.compile(r"(?:aab){2,}+ba|(?:bba){2,}+ab").match,
+    NON_REDUCIBLE: _non_reducible_match,
 }
 
 
 def _detect(w: str, family: str) -> list[Tail]:
     out = []
-    m = _LEFT[family].match(w)
+    m = _LEFT[family](w)
     if m:
         out.append(Tail("left", w[0].upper(), family, 1, m.end()))
-    m = _LEFT[family].match(w[::-1])
+    m = _LEFT[family](w[::-1])
     if m:
         out.append(Tail("right", w[-1].upper(), family, len(w) - m.end() + 1, len(w)))
     return out

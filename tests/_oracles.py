@@ -135,6 +135,29 @@ def r1_slow(w: str) -> str:
     return w
 
 
+def neighbours_slow(w: str, length_bound: int) -> tuple[set[str], bool]:
+    """Every square expanded and every cube contracted, one (period, position)
+    pair at a time; clipped reports a square whose expansion would exceed the
+    bound. The reference for the oracle's neighbour step."""
+    out: set[str] = set()
+    clipped = False
+    n = len(w)
+    for per in range(1, n // 2 + 1):
+        grow_ok = n + per <= length_bound
+        for i in range(0, n - 2 * per + 1):
+            if w[i : i + per] == w[i + per : i + 2 * per]:
+                if grow_ok:
+                    out.add(w[: i + per] + w[i:])
+                else:
+                    clipped = True
+                    break
+    for per in range(1, n // 3 + 1):
+        for i in range(0, n - 3 * per + 1):
+            if w[i : i + per] == w[i + per : i + 2 * per] == w[i + 2 * per : i + 3 * per]:
+                out.add(w[:i] + w[i + per :])
+    return out, clipped
+
+
 def thue_morse(n: int) -> str:
     """The first n letters of the Thue-Morse word: letter i is b iff i has odd popcount."""
     return "".join("ab"[i.bit_count() & 1] for i in range(n))

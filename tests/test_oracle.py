@@ -34,6 +34,15 @@ def test_pi_neighbours_are_symmetric():
             assert w in oracle.pi_neighbours(v, 9), (w, v)
 
 
+def test_neighbours_match_slow_exhaustive():
+    # the mask scan builds one word per run of squares (cubes); the slow
+    # reference rewrites at every position, so equal sets show no run is lost
+    for w in slow.words_up_to(13):
+        n = len(w)
+        for bound in (n, n + 1, n + 3, n + 6):
+            assert oracle._neighbours(w, bound) == slow.neighbours_slow(w, bound), (w, bound)
+
+
 def test_closure_frozen_small():
     res = oracle.closure("ab", 6)
     assert res.members == ("ab",)
