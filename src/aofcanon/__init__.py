@@ -29,7 +29,7 @@ from .reductions import (
     r1,
     tail_reduce,
 )
-from .frames import Frame, frame, xi
+from .frames import Frame, frame
 from .classes import ClassPattern, in_special_class, match_S, pattern_table
 from .pipeline import PrimarySeries, Verdict, ancestor, decide_equiv, eqaof, normalize
 from .oracle import (
@@ -70,7 +70,6 @@ __all__ = [
     "tail_reduce",
     "Frame",
     "frame",
-    "xi",
     "ClassPattern",
     "in_special_class",
     "match_S",

@@ -9,11 +9,10 @@ output line (multi-line reports collapse onto one line, parts joined by "; ").
 
 Exit codes: 0 success, 1 negative result (false / FALSE / NOT_EQUIVALENT),
 2 UNKNOWN from equiv, 64 misuse of the command line, 65 bad input: an
-invalid or empty word, a word outside the command's contract (check
-ab-whole and reduce rt need a cube-collapsed word, frames a uniform one), or
-an equiv batch line that is not exactly two words. In batch mode the
-per-line result codes collapse to 0; a line that would exit 65 still aborts
-the stream with 65, after the output of the lines before it.
+invalid or empty word, a word that is not cube-collapsed given to check
+ab-whole, or an equiv batch line that is not exactly two words. In batch
+mode the per-line result codes collapse to 0; a line that would exit 65
+still aborts the stream with 65, after the output of the lines before it.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ from typing import Callable
 import click
 
 from . import classes as classes_mod
-from . import frames as frames_mod
 from . import oracle as oracle_mod
 from . import __version__, pipeline, reductions, words
 from .errors import EmptyInput, WordError
@@ -97,7 +95,6 @@ def check(predicate: str, word: str | None) -> None:
 _REDUCERS: dict[str, Callable[[str], str]] = {
     "r1": reductions.r1,
     "r": reductions.complete_reduction,
-    "rt": reductions.tail_reduce,
 }
 
 
@@ -106,7 +103,7 @@ _REDUCERS: dict[str, Callable[[str], str]] = {
 @click.argument("word", required=False)
 @_data_errors
 def reduce(mode: str, word: str | None) -> None:
-    """Rewrite WORD: r1 collapses powers, r reduces fully, rt trims tails."""
+    """Rewrite WORD: r1 collapses powers, r reduces fully."""
     fn = _REDUCERS[mode]
     _each_word(word, lambda w: ([fn(w)], True))
 
@@ -114,44 +111,16 @@ def reduce(mode: str, word: str | None) -> None:
 @main.command()
 @click.argument("word", required=False)
 @_data_errors
-def tails(word: str | None) -> None:
-    """Report boundary tail patterns, one line each; 'none' without any."""
-
-    def report(w: str) -> tuple[list[str], bool]:
-        found = reductions.detect_non_uniform_tails(w) + reductions.detect_non_reducible_tails(w)
-        return [
-            f"side={t.side} class={t.letter_class} family={t.family} span={t.start}..{t.end}"
-            for t in found
-        ] or ["none"], True
-
-    _each_word(word, report)
-
-
-@main.command()
-@click.argument("word", required=False)
-@_data_errors
-def frames(word: str | None) -> None:
-    """Split a uniform WORD into fringe letters and morphism-image core."""
-
-    def report(w: str) -> tuple[list[str], bool]:
-        f = frames_mod.frame(w)
-        lines = [f"h={_dash(f.h)} core={_dash(f.core)} t={_dash(f.t)}", f"xi={frames_mod.xi(w)}"]
-        return lines, True
-
-    _each_word(word, report)
-
-
-@main.command()
-@click.argument("word", required=False)
-@_data_errors
 def explain(word: str | None) -> None:
     """Run the whole eqaof path: one line per descent round, then each stage's result."""
+    tail = "{0.side}:{0.letter_class}:{0.family}:{0.start}..{0.end}"
 
     def report(w: str) -> tuple[list[str], bool]:
         s, rep, v, ok = pipeline._form(w, trace=True)
         lines = [
-            f"k={k} U={u} L={_dash(left)} R={_dash(right)} h={_dash(h)} t={_dash(t)}"
-            for k, (u, left, right, h, t) in enumerate(zip(s.series, s.L, s.R, s.h, s.t), start=1)
+            f"k={k} U={r.word} L={_dash(r.L)} R={_dash(r.R)} h={_dash(r.h)} t={_dash(r.t)}"
+            f" tails={_dash(','.join(tail.format(t) for t in r.tails))}"
+            for k, r in enumerate(s.rounds, start=1)
         ]
         lines.append(
             f"anc={s.anc} rep={_dash(rep)} rebuilt={_dash(v)} eqaof={v if ok else 'FALSE'}"

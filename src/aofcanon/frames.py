@@ -44,13 +44,3 @@ def frame(u: str) -> Frame:
     if not words.is_phi_image(core):
         raise NotUniform(f"not uniform: {u[:32]!r}")
     return Frame(u[:lc], core, u[len(u) - ld :] if ld else "")
-
-
-def xi(u: str) -> str:
-    """Extend a uniform word by the negated fringe letters on both sides.
-
-    The result embeds U in a morphism image of its own: negate(h) completes
-    the left fringe letter into a block, negate(t) the right one.
-    """
-    f = frame(u)
-    return words.negate(f.h) + u + words.negate(f.t)

@@ -1,14 +1,15 @@
 """Ancestor descent, rebuild, and the canonical-form entry points.
 
 The descent halves the word each round: cube-collapse, trim non-uniform
-tails (remembering the dropped boundary letters), strip the fringe, and pull
-back through the morphism. `frame`'s core image test decides uniformity: a
-uniform word has no site, letter cube or non-reducible tail, and one `frame`
-rejects is collapsed completely once every site is found protected. It stops
-on a short word, an exceptional class, or a site unsafe to collapse. Each
-round word comes straight out of `r1`, so the round's class and wholeness
-tests are the private cores that skip the cube re-check; `eqaof` validates
-the stop word once, in `match_S`.
+tails, strip the fringe, and pull back through the morphism. Each round
+leaves one `Round` on the tape: its tail reports, the boundary letters
+trimming dropped and the fringe letters stripped with the core. `frame`'s
+core image test decides uniformity: a uniform word has no site, letter cube
+or non-reducible tail, and one `frame` rejects is collapsed completely once
+every site is found protected. It stops on a short word, an exceptional
+class, or a site unsafe to collapse. Each round word comes straight out of
+`r1`, so the round's class and wholeness tests are the private cores that
+skip the cube re-check; `eqaof` validates the stop word once, in `match_S`.
 
 The rebuild runs the same tape backwards from a replacement stop word,
 re-wrapping fringes and boundary letters and collapsing a letter-for-letter
@@ -17,12 +18,12 @@ for its class representative, the rebuilt word is the unique almost
 overlap-free member of the input's class, when one exists.
 
 `_form` is that whole path in one call. `eqaof` returns its rebuilt word
-when the final check passes, and the CLI's `explain` prints its rounds and
-stages, so the two cannot drift apart.
+when the final check passes, and the CLI's `explain` prints its rounds, one
+line per `Round`, and stages, so the two cannot drift apart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import words
@@ -30,8 +31,9 @@ from .classes import _in_special, match_S
 from .errors import EmptyInput, NotUniform
 from .frames import frame
 from .reductions import (
+    Tail,
     _is_whole,
-    _trim,
+    _kept,
     complete_reduction,
     detect_non_reducible_tails,
     detect_non_uniform_tails,
@@ -39,23 +41,35 @@ from .reductions import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class PrimarySeries:
-    """Record of one descent: arrays are 1-indexed by round (entry k-1).
+@dataclass(slots=True)
+class Round:
+    """One descent round, filled in as it runs; word is kept only when tracing.
 
-    L/R hold the boundary letters dropped by tail trimming, h/t the fringe
-    letters stripped with the core. The final round's entries are never
-    read back by the rebuild. series carries the per-round words when
-    tracing.
+    tails are the non-uniform tails the round trims and, on a round that
+    stops there, the non-reducible tail left after trimming, all spanned on
+    the round word. L/R are the boundary letters trimming drops, h/t the
+    fringe letters stripped with the core.
     """
 
-    ell: int
+    word: str | None
+    tails: list[Tail]
+    L: str = ""
+    R: str = ""
+    h: str = ""
+    t: str = ""
+
+
+@dataclass(frozen=True, slots=True)
+class PrimarySeries:
+    """Record of one descent: its stop word and one Round per round, which the
+    rebuild reads back in reverse, all but the final one."""
+
     anc: str
-    L: tuple[str, ...]
-    R: tuple[str, ...]
-    h: tuple[str, ...]
-    t: tuple[str, ...]
-    series: tuple[str, ...] | None = None
+    rounds: list[Round]
+
+    @property
+    def ell(self) -> int:
+        return len(self.rounds)
 
 
 def ancestor(u: str, trace: bool = False) -> PrimarySeries:
@@ -63,49 +77,42 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
     if u == "":
         raise EmptyInput("ancestor needs a nonempty word")
     words.check_word(u)
-    L: list[str] = []
-    R: list[str] = []
-    h: list[str] = []
-    t: list[str] = []
-    seen: list[str] = []
+    rounds: list[Round] = []
     prev_len = None
     while True:
         u = r1(u)
         if prev_len is not None and 2 * len(u) > prev_len:
             raise RuntimeError(f"round word of length {len(u)} is over half of {prev_len}")
-        L.append("")
-        R.append("")
-        h.append("")
-        t.append("")
-        if trace:
-            seen.append(u)
+        rnd = Round(u if trace else None, [])
+        rounds.append(rnd)
         if len(u) <= 2 or _in_special(u):
-            anc = u
             break
-        tails = detect_non_uniform_tails(u)
+        rnd.tails = tails = detect_non_uniform_tails(u)
         for tl in tails:
             if tl.side == "left":
-                L[-1] = u[0]
+                rnd.L = u[0]
             else:
-                R[-1] = u[-1]
-        up = _trim(u, tails)
+                rnd.R = u[-1]
+        lo, hi = _kept(u, tails)
+        up = u[lo:hi]
         try:
             f = frame(up)
         except NotUniform:  # leave the handler at once: its traceback holds frame's core
             f = None
         if f is None:
-            if not _is_whole(up) or detect_non_reducible_tails(up):
-                anc = u  # the pre-trim word: trimming is only sound when the
-                break  # remainder collapses cleanly
+            # the pre-trim word stops unless the trimmed one collapses cleanly
+            if not _is_whole(up):
+                break
+            stuck = detect_non_reducible_tails(up)
+            if stuck:
+                tails += [replace(tl, start=tl.start + lo, end=tl.end + lo) for tl in stuck]
+                break
             f = frame(complete_reduction(up))
-        h[-1] = f.h
-        t[-1] = f.t
+        rnd.h, rnd.t = f.h, f.t
         prev_len = len(u)
         u = f.core[::2]  # frame has tested that the core is a morphism image
         del up, f  # the next round holds only its own words, not this one's
-    return PrimarySeries(
-        len(L), anc, tuple(L), tuple(R), tuple(h), tuple(t), tuple(seen) if trace else None
-    )
+    return PrimarySeries(u, rounds)
 
 
 def normalize(w: str, series: PrimarySeries) -> str:
@@ -113,16 +120,14 @@ def normalize(w: str, series: PrimarySeries) -> str:
     if w == "":
         raise EmptyInput("normalize needs a nonempty word")
     words.check_word(w)
-    m = series.ell
-    while m > 1:
-        m -= 1
-        w = series.h[m - 1] + words.phi(w) + series.t[m - 1]
+    for rnd in reversed(series.rounds[:-1]):
+        w = rnd.h + words.phi(w) + rnd.t
         n = len(w)
         if n % 3 == 0:
             third = n // 3
             if w[: 2 * third] == w[third:]:
                 w = w[: 2 * third]
-        w = series.L[m - 1] + w + series.R[m - 1]
+        w = rnd.L + w + rnd.R
     return w
 
 

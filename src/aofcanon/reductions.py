@@ -170,14 +170,15 @@ def detect_non_reducible_tails(w: str) -> list[Tail]:
     return _detect(w, NON_REDUCIBLE)
 
 
-def _trim(w: str, tails: list[Tail]) -> str:
-    """Cut each given tail down to its 7 letters next to the rest of w."""
+def _kept(w: str, tails: list[Tail]) -> tuple[int, int]:
+    """Bounds of w left once each given tail is cut to its 7 letters next to the rest."""
     start = next((t.end - 7 for t in tails if t.side == "left"), 0)
     end = next((t.start + 6 for t in tails if t.side == "right"), len(w))
-    return w[start:end]
+    return start, end
 
 
 def tail_reduce(w: str) -> str:
     """Trim both non-uniform tails from one detection; the two sides commute."""
     _check_r1(w)
-    return _trim(w, detect_non_uniform_tails(w))
+    start, end = _kept(w, detect_non_uniform_tails(w))
+    return w[start:end]

@@ -24,7 +24,7 @@ from aofcanon.pipeline import Verdict
 
 import _oracles as slow
 
-EXHAUSTIVE_LEN = 14          # every word up to here is enumerable in seconds
+EXHAUSTIVE_LEN = 18          # every word up to here is enumerable in seconds
 RECOGNIZER_BOUND = 20        # closure bound for the 30 reference classes
 DISJOINT_AOF_LEN = 12        # seeds for the pairwise-disjointness sweep
 DISJOINT_BOUND = 18

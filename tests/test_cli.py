@@ -1,11 +1,23 @@
 """Command-line surface: outputs, exit codes, batch mode."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from click.testing import CliRunner
 
 import aofcanon
-from aofcanon import ancestor, match_S
+from aofcanon import (
+    ancestor,
+    detect_non_reducible_tails,
+    detect_non_uniform_tails,
+    in_special_class,
+    is_ab_whole,
+    is_uniform,
+    match_S,
+    r1,
+    tail_reduce,
+)
 from aofcanon.cli import main
 
 import _oracles as slow
@@ -40,7 +52,6 @@ def test_check_batch_exit_zero(runner):
 def test_reduce_modes(runner):
     assert run(runner, "reduce", "r1", "abaaab").output == "abaab\n"
     assert run(runner, "reduce", "r", "abaabaaba").output == "abaaba\n"
-    assert run(runner, "reduce", "rt", "aabaabbabb").output == "abaabbab\n"
 
 
 def test_reduce_batch(runner):
@@ -50,58 +61,54 @@ def test_reduce_batch(runner):
 
 
 def test_tails_report(runner):
-    res = run(runner, "tails", "aabaabbabb")
+    # the tails= field of each round line, "-" without any
+    res = run(runner, "explain", "aabaabbabb")
+    assert [line.split(" tails=")[1] for line in res.output.splitlines()[:-1]] == [
+        "left:A:nonuniform:1..8,right:B:nonuniform:3..10",
+        "-",
+        "-",
+    ]
+    res = run(runner, "explain", "abab")
+    assert res.output.startswith("k=1 U=abab L=- R=- h=- t=- tails=-\n")
+
+
+def test_tails_report_shifts_non_reducible_tail(runner):
+    # a round that stops on a non-reducible tail lists it too, its span
+    # shifted past the letter the left trim dropped, so that it indexes U
+    res = run(runner, "explain", "aabaabbabaababaaba")
+    assert res.exit_code == 1
     assert res.output == (
-        "side=left class=A family=nonuniform span=1..8\n"
-        "side=right class=B family=nonuniform span=3..10\n"
+        "k=1 U=aabaabbabaababaaba L=a R=- h=- t=-"
+        " tails=left:A:nonuniform:1..8,right:A:nonreducible:10..18\n"
+        "anc=aabaabbabaababaaba rep=- rebuilt=- eqaof=FALSE\n"
     )
-    assert run(runner, "tails", "abab").output == "none\n"
 
 
 def test_tails_batch_joins_lines(runner):
-    res = run(runner, "tails", input="aabaabbabb\nabab\n")
-    assert res.output == (
-        "side=left class=A family=nonuniform span=1..8; "
-        "side=right class=B family=nonuniform span=3..10\n"
-        "none\n"
-    )
-
-
-def test_frames_output(runner):
-    res = run(runner, "frames", "abaabbab")
-    assert res.output == "h=a core=baabba t=b\nxi=babaabbaba\n"
-    res = run(runner, "frames", "ababa")
-    assert res.output == "h=- core=abab t=a\nxi=ababab\n"
-
-
-def test_frames_batch_joins_lines(runner):
-    res = run(runner, "frames", input="abaabbab\nababa\n")
+    res = run(runner, "explain", input="aabaabbabb\nabab\n")
     assert res.exit_code == 0
-    assert res.output == "h=a core=baabba t=b; xi=babaabbaba\nh=- core=abab t=a; xi=ababab\n"
+    assert [
+        [part.split(" tails=")[1] for part in line.split("; ")[:-1]]
+        for line in res.output.splitlines()
+    ] == [["left:A:nonuniform:1..8,right:B:nonuniform:3..10", "-", "-"], ["-", "-"]]
 
 
-def test_frames_rejects_non_uniform(runner):
-    res = run(runner, "frames", "aabaabb")
-    assert res.exit_code == 65
-
-
-@pytest.mark.parametrize("args", [("frames",), ("check", "ab-whole")])
-def test_batch_aborts_on_word_outside_contract(runner, args):
+def test_batch_aborts_on_word_outside_contract(runner):
     # aaa is a valid word but not cube-collapsed: the stream stops there
-    res = run(runner, *args, input="ab\naaa\nab\n")
+    res = run(runner, "check", "ab-whole", input="ab\naaa\nab\n")
     assert res.exit_code == 65
     assert res.stdout.count("\n") == 1
 
 
 def test_ancestor_report(runner):
-    # one round line per entry of the library's series, in its order
-    s = ancestor("aabaabbabb")
+    # one round line per record of the library's descent, in its order
+    s = ancestor("aabaabbabb", trace=True)
     assert (s.anc, s.ell) == ("b", 3)
     res = run(runner, "explain", "aabaabbabb")
     *rounds, summary = res.output.splitlines()
-    assert [line.split(" ", 2)[2] for line in rounds] == [
-        f"L={left or '-'} R={right or '-'} h={h or '-'} t={t or '-'}"
-        for left, right, h, t in zip(s.L, s.R, s.h, s.t)
+    assert [line.split(" tails=")[0] for line in rounds] == [
+        f"k={k} U={r.word} L={r.L or '-'} R={r.R or '-'} h={r.h or '-'} t={r.t or '-'}"
+        for k, r in enumerate(s.rounds, start=1)
     ]
     assert summary.startswith(f"anc={s.anc} ")
 
@@ -109,9 +116,9 @@ def test_ancestor_report(runner):
 def test_ancestor_trace(runner):
     res = run(runner, "explain", "aabaabbabb")
     assert res.output == (
-        "k=1 U=aabaabbabb L=a R=b h=a t=b\n"
-        "k=2 U=bab L=- R=- h=- t=b\n"
-        "k=3 U=b L=- R=- h=- t=-\n"
+        "k=1 U=aabaabbabb L=a R=b h=a t=b tails=left:A:nonuniform:1..8,right:B:nonuniform:3..10\n"
+        "k=2 U=bab L=- R=- h=- t=b tails=-\n"
+        "k=3 U=b L=- R=- h=- t=- tails=-\n"
         "anc=b rep=b rebuilt=aabaabbabb eqaof=aabaabbabb\n"
     )
 
@@ -120,9 +127,10 @@ def test_ancestor_trace_batch(runner):
     res = run(runner, "explain", input="aabaabbabb\nbab\n")
     assert res.exit_code == 0
     assert res.output == (
-        "k=1 U=aabaabbabb L=a R=b h=a t=b; k=2 U=bab L=- R=- h=- t=b;"
-        " k=3 U=b L=- R=- h=- t=-; anc=b rep=b rebuilt=aabaabbabb eqaof=aabaabbabb\n"
-        "k=1 U=bab L=- R=- h=- t=b; k=2 U=b L=- R=- h=- t=-;"
+        "k=1 U=aabaabbabb L=a R=b h=a t=b tails=left:A:nonuniform:1..8,right:B:nonuniform:3..10;"
+        " k=2 U=bab L=- R=- h=- t=b tails=-; k=3 U=b L=- R=- h=- t=- tails=-;"
+        " anc=b rep=b rebuilt=aabaabbabb eqaof=aabaabbabb\n"
+        "k=1 U=bab L=- R=- h=- t=b tails=-; k=2 U=b L=- R=- h=- t=- tails=-;"
         " anc=b rep=b rebuilt=bab eqaof=bab\n"
     )
 
@@ -172,6 +180,37 @@ def test_explain_agrees_with_eqaof_on_all_short_words(runner):
     assert [s[3] for s in summaries] == ["eqaof=" + v for v in canonical.output.splitlines()]
     for w, s in zip(ws, summaries):
         assert (s[1] == "rep=-") == (match_S(ancestor(w).anc) is None), w
+
+
+def test_explain_tails_field_on_all_short_words(runner):
+    # round 1 lists exactly the non-uniform tails of r1(w), plus the
+    # non-reducible tail, shifted past the left trim, when it stops there;
+    # every listed span, cut out of its round word, is a tail pattern of
+    # its family, class and side
+    ws = list(slow.words_up_to(12))
+    res = run(runner, "explain", input="".join(w + "\n" for w in ws))
+    assert res.exit_code == 0
+    for w, line in zip(ws, res.output.splitlines(), strict=True):
+        rounds = [dict(f.split("=", 1) for f in part.split()) for part in line.split("; ")[:-1]]
+        for r in rounds:
+            for tail in [] if r["tails"] == "-" else r["tails"].split(","):
+                side, cls, family, span = tail.split(":")
+                start, end = map(int, span.split(".."))
+                x = r["U"][start - 1 : end]
+                assert (family, side, cls, 1, len(x)) in slow.tails_slow(x), (w, tail)
+        u = r1(w)
+        want = []
+        if len(u) > 2 and not in_special_class(u):
+            want = detect_non_uniform_tails(u)
+            up = tail_reduce(u)
+            if not is_uniform(up) and is_ab_whole(up) and (stuck := detect_non_reducible_tails(up)):
+                assert len(rounds) == 1, w
+                lo = next((t.end - 7 for t in want if t.side == "left"), 0)
+                want += [replace(t, start=t.start + lo, end=t.end + lo) for t in stuck]
+        got = rounds[0]["tails"]
+        assert got == (",".join(
+            f"{t.side}:{t.letter_class}:{t.family}:{t.start}..{t.end}" for t in want
+        ) or "-"), w
 
 
 def test_eqaof_exit_codes(runner):
@@ -275,6 +314,7 @@ def test_invalid_letters_rejected(runner):
 def test_usage_errors(runner):
     assert run(runner, "nosuchcmd").exit_code == 64
     assert run(runner, "reduce").exit_code == 64
+    assert run(runner, "reduce", "rt", "ab").exit_code == 64  # modes are r1 and r
     assert run(runner, "closure", "ab").exit_code == 64  # missing --max-len
     assert run(runner, "enum-aof", "0").exit_code == 64
 

@@ -11,7 +11,9 @@ from aofcanon import classes, pipeline, reductions, words
 from aofcanon.classes import pattern_table
 from aofcanon.errors import EmptyInput, WordError
 from aofcanon.frames import Frame
+from aofcanon.oracle import OracleAnswer, oracle_equiv
 from aofcanon.pipeline import Verdict
+from aofcanon.reductions import Tail
 
 import _oracles as slow
 
@@ -22,15 +24,26 @@ def test_ancestor_frozen_trace():
     s = pipeline.ancestor("aabaabbabb", trace=True)
     assert s.anc == "b"
     assert s.ell == 3
-    assert s.L == ("a", "", "")
-    assert s.R == ("b", "", "")
-    assert s.h == ("a", "", "")
-    assert s.t == ("b", "b", "")
-    assert s.series == ("aabaabbabb", "bab", "b")
+    assert [(r.word, r.L, r.R, r.h, r.t) for r in s.rounds] == [
+        ("aabaabbabb", "a", "b", "a", "b"),
+        ("bab", "", "", "", "b"),
+        ("b", "", "", "", ""),
+    ]
+    assert s.rounds[0].tails == [
+        Tail("left", "A", "nonuniform", 1, 8),
+        Tail("right", "B", "nonuniform", 3, 10),
+    ]
+    assert s.rounds[1].tails == s.rounds[2].tails == []
 
 
 def test_ancestor_without_trace_has_no_series():
-    assert pipeline.ancestor("aabaabbabb").series is None
+    # the round records keep everything but the round words themselves
+    s = pipeline.ancestor("aabaabbabb")
+    traced = pipeline.ancestor("aabaabbabb", trace=True)
+    assert [r.word for r in s.rounds] == [None] * 3
+    assert [(r.tails, r.L, r.R, r.h, r.t) for r in s.rounds] == [
+        (r.tails, r.L, r.R, r.h, r.t) for r in traced.rounds
+    ]
 
 
 def test_ancestor_short_words():
@@ -85,8 +98,9 @@ def test_descent_validates_its_words_once(monkeypatch):
 @settings(max_examples=300)
 def test_ancestor_halves_each_round(w):
     s = pipeline.ancestor(w, trace=True)
-    assert s.series is not None and len(s.series) == s.ell
-    for prev, nxt in zip(s.series, s.series[1:]):
+    series = [r.word for r in s.rounds]
+    assert series[-1] == s.anc
+    for prev, nxt in zip(series, series[1:]):
         assert 2 * len(nxt) <= len(prev)
 
 
@@ -182,6 +196,17 @@ def test_normalize_identity_when_single_round():
     s = pipeline.ancestor("aabaa")
     assert s.ell == 1
     assert pipeline.normalize("aabaa", s) == "aabaa"
+
+
+def test_rebuild_from_stop_word_stays_in_class():
+    # every rebuild step keeps the class, so the word rebuilt from the stop
+    # word, whether or not that is a class representative, is one the
+    # oracle joins to the input
+    for u in slow.words_up_to(14):
+        s = pipeline.ancestor(u)
+        f = pipeline.normalize(classes.match_S(s.anc) or s.anc, s)
+        if f != u:
+            assert oracle_equiv(u, f, max(len(u), len(f)) + 4) == OracleAnswer.YES, (u, f)
 
 
 def test_normalize_rejects_bad_stop_words():

@@ -95,9 +95,18 @@ def test_no_assert_in_package():
 
 
 def test_cli_runs_no_pipeline_stage_of_its_own():
-    # the CLI reaches the descent, class match and rebuild only through the
-    # pipeline's one path, so its output cannot drift from what eqaof does
-    stages = {"ancestor", "normalize", "match_S"}
+    # the CLI reaches the descent's tail and frame stages, the class match
+    # and the rebuild only through the pipeline's one path, so its output
+    # cannot drift from what eqaof does
+    stages = {
+        "ancestor",
+        "normalize",
+        "match_S",
+        "frame",
+        "detect_non_uniform_tails",
+        "detect_non_reducible_tails",
+        "tail_reduce",
+    }
     named = []
     for node in ast.walk(ast.parse(CLI.read_text())):
         if isinstance(node, ast.Name):
