@@ -2,21 +2,20 @@
 
 `eqaof` and `explain` both run the library's one path from word to verdict
 (`pipeline._form`), so `explain` shows the rounds and stages of the very run
-`eqaof` answers from. The other commands each make one library call on the
-word they are given. Where a WORD argument is omitted, words are read from
-standard input, one per line, and each input line produces exactly one
-output line (multi-line reports collapse onto one line, parts joined by "; ").
+`eqaof` answers from; the other commands each make one library call. Where
+the words are omitted, each stdin line is split on whitespace into exactly
+as many words as the command takes (two for equiv, else one) and gives one
+output line (a multi-line report joins its lines with "; ").
 
 Exit codes: 0 success, 1 negative result (false / FALSE / NOT_EQUIVALENT),
 2 UNKNOWN from equiv, 64 misuse of the command line, 65 bad input: an
 invalid or empty word, a word that is not cube-collapsed given to check
-ab-whole, or an equiv batch line that is not exactly two words. In batch
-mode the per-line result codes collapse to 0; a line that would exit 65
-still aborts the stream with 65, after the output of the lines before it.
+ab-whole, or a batch line with the wrong number of words. In batch mode the
+per-line result codes collapse to 0; a line that would exit 65 still aborts
+the stream with 65, after the output of the lines before it.
 """
 from __future__ import annotations
 
-import functools
 import sys
 from typing import Callable
 
@@ -25,39 +24,38 @@ import click
 from . import classes as classes_mod
 from . import oracle as oracle_mod
 from . import __version__, pipeline, reductions, words
-from .errors import EmptyInput, WordError
+from .errors import WordError
 
 click.UsageError.exit_code = 64
 
-EX_DATA = 65
 
+class _Main(click.Group):
+    """The command group; bad input from any command exits 65."""
 
-def _data_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx: click.Context):
         try:
-            return f(*args, **kwargs)
+            return super().invoke(ctx)
         except WordError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(EX_DATA)
-
-    return wrapper
+            sys.exit(65)
 
 
-def _checked(w: str) -> str:
-    if w == "":
-        raise EmptyInput("empty word")
-    return words.check_word(w)
+_PER_LINE = ("one word", "two words")
 
 
-def _each_word(word: str | None, fn: Callable[[str], tuple[list[str], bool]]) -> None:
-    """Print fn(w) = (lines, positive) for WORD or each stdin line, as the module notes say."""
-    if word is not None:
-        lines, ok = fn(_checked(word))
+def _each(args: tuple[str | None, ...], fn: Callable[..., tuple[list[str], int]]) -> None:
+    """Print fn(*words) = (lines, exit code) for the arguments or each stdin line."""
+    if None not in args:
+        lines, code = fn(*map(words._check_nonempty, args))
         click.echo("\n".join(lines))
-        sys.exit(0 if ok else 1)
+        sys.exit(code)
+    if any(a is not None for a in args):
+        raise click.UsageError("give all the words or none")
     for line in sys.stdin:
-        lines, _ = fn(_checked(line.rstrip("\r\n")))
+        ws = line.split()
+        if len(ws) != len(args):
+            raise WordError(f"expected {_PER_LINE[len(args) - 1]} per line, got {line.rstrip()!r}")
+        lines, _ = fn(*map(words._check_nonempty, ws))
         click.echo("; ".join(lines))
 
 
@@ -65,7 +63,7 @@ def _dash(x: str | None) -> str:
     return x if x else "-"
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main() -> None:
     """Canonical almost overlap-free forms under the YY = YYY equivalence."""
@@ -85,11 +83,10 @@ _PREDICATES: dict[str, Callable[[str], bool]] = {
 @main.command()
 @click.argument("predicate", type=click.Choice(list(_PREDICATES)))
 @click.argument("word", required=False)
-@_data_errors
 def check(predicate: str, word: str | None) -> None:
     """Test WORD against PREDICATE; prints true or false (exit 0 / 1)."""
     fn = _PREDICATES[predicate]
-    _each_word(word, lambda w: (["true"], True) if fn(w) else (["false"], False))
+    _each((word,), lambda w: (["true"], 0) if fn(w) else (["false"], 1))
 
 
 _REDUCERS: dict[str, Callable[[str], str]] = {
@@ -101,21 +98,19 @@ _REDUCERS: dict[str, Callable[[str], str]] = {
 @main.command()
 @click.argument("mode", type=click.Choice(list(_REDUCERS)))
 @click.argument("word", required=False)
-@_data_errors
 def reduce(mode: str, word: str | None) -> None:
     """Rewrite WORD: r1 collapses powers, r reduces fully."""
     fn = _REDUCERS[mode]
-    _each_word(word, lambda w: ([fn(w)], True))
+    _each((word,), lambda w: ([fn(w)], 0))
 
 
 @main.command()
 @click.argument("word", required=False)
-@_data_errors
 def explain(word: str | None) -> None:
     """Run the whole eqaof path: one line per descent round, then each stage's result."""
     tail = "{0.side}:{0.letter_class}:{0.family}:{0.start}..{0.end}"
 
-    def report(w: str) -> tuple[list[str], bool]:
+    def report(w: str) -> tuple[list[str], int]:
         s, rep, v, ok = pipeline._form(w, trace=True)
         lines = [
             f"k={k} U={r.word} L={_dash(r.L)} R={_dash(r.R)} h={_dash(r.h)} t={_dash(r.t)}"
@@ -125,22 +120,21 @@ def explain(word: str | None) -> None:
         lines.append(
             f"anc={s.anc} rep={_dash(rep)} rebuilt={_dash(v)} eqaof={v if ok else 'FALSE'}"
         )
-        return lines, ok
+        return lines, 0 if ok else 1
 
-    _each_word(word, report)
+    _each((word,), report)
 
 
 @main.command("eqaof")
 @click.argument("word", required=False)
-@_data_errors
 def eqaof_cmd(word: str | None) -> None:
     """Canonical almost overlap-free form of WORD, or FALSE (exit 1)."""
 
-    def report(w: str) -> tuple[list[str], bool]:
+    def report(w: str) -> tuple[list[str], int]:
         v = pipeline.eqaof(w)
-        return ["FALSE" if v is None else v], v is not None
+        return (["FALSE"], 1) if v is None else ([v], 0)
 
-    _each_word(word, report)
+    _each((word,), report)
 
 
 _VERDICT_CODE = {
@@ -153,24 +147,17 @@ _VERDICT_CODE = {
 @main.command("equiv")
 @click.argument("u", required=False)
 @click.argument("v", required=False)
-@_data_errors
 def equiv_cmd(u: str | None, v: str | None) -> None:
     """Compare U and V; EQUIVALENT / NOT_EQUIVALENT / UNKNOWN (exit 0/1/2).
 
     Without arguments, reads two whitespace-separated words per input line.
     """
-    if (u is None) != (v is None):
-        raise click.UsageError("equiv needs both words or neither")
-    if u is not None and v is not None:
-        verdict = pipeline.decide_equiv(_checked(u), _checked(v))
-        click.echo(verdict.value)
-        sys.exit(_VERDICT_CODE[verdict])
-    for line in sys.stdin:
-        parts = line.split()
-        if len(parts) != 2:
-            raise WordError(f"expected two words per line, got {line.rstrip()!r}")
-        verdict = pipeline.decide_equiv(_checked(parts[0]), _checked(parts[1]))
-        click.echo(verdict.value)
+
+    def report(a: str, b: str) -> tuple[list[str], int]:
+        verdict = pipeline.decide_equiv(a, b)
+        return [verdict.value], _VERDICT_CODE[verdict]
+
+    _each((u, v), report)
 
 
 @main.command("enum-aof")
@@ -185,11 +172,10 @@ def enum_aof(n: int) -> None:
 @click.argument("word", required=False)
 @click.option("--max-len", type=click.IntRange(min=1), required=True, help="Length bound.")
 @click.option("--max-steps", type=click.IntRange(min=1), default=1_000_000, show_default=True)
-@_data_errors
 def closure_cmd(word: str | None, max_len: int, max_steps: int) -> None:
     """Bounded rewriting closure of WORD under YY <-> YYY."""
 
-    def report(w: str) -> tuple[list[str], bool]:
+    def report(w: str) -> tuple[list[str], int]:
         try:
             res = oracle_mod.closure(w, max_len, max_steps)
         except ValueError as exc:  # the bound is below the word's length
@@ -198,9 +184,9 @@ def closure_cmd(word: str | None, max_len: int, max_steps: int) -> None:
             f"seed={res.seed} bound={res.length_bound}"
             f" exhausted={'true' if res.exhausted else 'false'} count={len(res.members)}"
         )
-        return [header, *res.members], True
+        return [header, *res.members], 0
 
-    _each_word(word, report)
+    _each((word,), report)
 
 
 @main.group()

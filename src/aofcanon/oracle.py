@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import overlap, words
-from .errors import EmptyInput
 
 
 def _neighbours(w: str, length_bound: int) -> tuple[set[str], bool]:
@@ -44,15 +43,9 @@ def _neighbours(w: str, length_bound: int) -> tuple[set[str], bool]:
     return out, clipped
 
 
-def _check_nonempty(w: str, caller: str) -> None:
-    if w == "":
-        raise EmptyInput(f"{caller} needs a nonempty word")
-    words.check_word(w)
-
-
 def pi_neighbours(w: str, length_bound: int) -> set[str]:
     """All single-step rewrites of w within the length bound."""
-    _check_nonempty(w, "pi_neighbours")
+    words._check_nonempty(w)
     if length_bound < len(w):
         raise ValueError(f"length bound {length_bound} below |w| = {len(w)}")
     out, _ = _neighbours(w, length_bound)
@@ -85,7 +78,7 @@ def closure(
     stop_on short-circuits once the given word is generated (the member list
     is then partial, which is all equivalence probing needs).
     """
-    _check_nonempty(seed, "closure")
+    words._check_nonempty(seed)
     if length_bound < len(seed):
         raise ValueError(f"length bound {length_bound} below |seed| = {len(seed)}")
     visited = {seed}
@@ -122,8 +115,8 @@ def oracle_equiv(
     u: str, v: str, length_bound: int, step_bound: int = 1_000_000
 ) -> OracleAnswer:
     """YES when the bounded closures meet; UNKNOWN otherwise, never no."""
-    _check_nonempty(u, "oracle_equiv")
-    _check_nonempty(v, "oracle_equiv")
+    words._check_nonempty(u)
+    words._check_nonempty(v)
     if u == v:
         return OracleAnswer.YES
     cu = closure(u, max(length_bound, len(u)), step_bound, stop_on=v)

@@ -14,7 +14,7 @@ has one of such a period. `has_overlap` tests only those periods, about
 2*log2(n) of them; `brute_has_overlap` tests every period and is the
 reference. A word of length n has an overlapping proper factor (2p+1 <= n-1)
 exactly when its shortest overlap is one, so the almost overlap-free check
-is the same scan over the periods up to (n-2)//2.
+is the same scan with its period bound `top` set to (n-2)//2.
 
 Each period is one scan at C speed. Read the word as an integer with one bit
 per letter, the last letter lowest, under a leading sentinel 1. Below bit
@@ -77,14 +77,11 @@ def brute_has_overlap(s: str) -> bool:
     return _has_run(s, ((p, p + 1) for p in range(1, (len(s) - 1) // 2 + 1)))
 
 
-def _has_overlap_upto(s: str, top: int) -> bool:
-    """Some factor of length 2p+1 with period p <= top."""
+def has_overlap(s: str, top: int | None = None) -> bool:
+    """Some factor of length 2p+1 with period p, and p <= top when top is given."""
+    if top is None:
+        top = (len(s) - 1) // 2
     return _has_run(s, ((p, p + 1) for p in _square_periods(top)))
-
-
-def has_overlap(s: str) -> bool:
-    """Some factor of length 2p+1 with period p."""
-    return _has_overlap_upto(s, (len(s) - 1) // 2)
 
 
 def has_cube(s: str) -> bool:

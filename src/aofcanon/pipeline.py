@@ -28,7 +28,7 @@ from enum import Enum
 
 from . import words
 from .classes import _in_special, match_S
-from .errors import EmptyInput, NotUniform
+from .errors import NotUniform
 from .frames import frame
 from .reductions import (
     Tail,
@@ -74,9 +74,7 @@ class PrimarySeries:
 
 def ancestor(u: str, trace: bool = False) -> PrimarySeries:
     """Run the descent to its stop word."""
-    if u == "":
-        raise EmptyInput("ancestor needs a nonempty word")
-    words.check_word(u)
+    words._check_nonempty(u)
     rounds: list[Round] = []
     prev_len = None
     while True:
@@ -117,9 +115,7 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
 
 def normalize(w: str, series: PrimarySeries) -> str:
     """Rebuild through a recorded descent, starting from stop word w."""
-    if w == "":
-        raise EmptyInput("normalize needs a nonempty word")
-    words.check_word(w)
+    words._check_nonempty(w)
     for rnd in reversed(series.rounds[:-1]):
         w = rnd.h + words.phi(w) + rnd.t
         n = len(w)

@@ -6,7 +6,7 @@ following the usual combinatorics-on-words convention; internal code uses
 """
 from __future__ import annotations
 
-from .errors import NotPhiImage, WordError
+from .errors import EmptyInput, NotPhiImage, WordError
 from . import overlap
 
 NEGATE = str.maketrans("ab", "ba")
@@ -22,6 +22,13 @@ def check_word(w: str) -> str:
     if not is_word(w):
         raise WordError(f"not a word over {{a,b}}: {w!r}")
     return w
+
+
+def _check_nonempty(w: str) -> str:
+    """check_word for the operations that need a nonempty word."""
+    if w == "":
+        raise EmptyInput("empty word: a nonempty word is needed")
+    return check_word(w)
 
 
 def negate(w: str) -> str:
@@ -86,4 +93,4 @@ def is_overlap_free(w: str) -> bool:
 
 def is_almost_overlap_free(w: str) -> bool:
     """Every proper factor is overlap-free; w itself may be an overlap (aaa)."""
-    return not overlap._has_overlap_upto(w, (len(w) - 2) // 2)
+    return not overlap.has_overlap(w, (len(w) - 2) // 2)

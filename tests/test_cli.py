@@ -100,7 +100,7 @@ def test_batch_aborts_on_word_outside_contract(runner):
     assert res.stdout.count("\n") == 1
 
 
-def test_ancestor_report(runner):
+def test_explain_rounds_follow_descent(runner):
     # one round line per record of the library's descent, in its order
     s = ancestor("aabaabbabb", trace=True)
     assert (s.anc, s.ell) == ("b", 3)
@@ -113,7 +113,7 @@ def test_ancestor_report(runner):
     assert summary.startswith(f"anc={s.anc} ")
 
 
-def test_ancestor_trace(runner):
+def test_explain_trace(runner):
     res = run(runner, "explain", "aabaabbabb")
     assert res.output == (
         "k=1 U=aabaabbabb L=a R=b h=a t=b tails=left:A:nonuniform:1..8,right:B:nonuniform:3..10\n"
@@ -123,7 +123,7 @@ def test_ancestor_trace(runner):
     )
 
 
-def test_ancestor_trace_batch(runner):
+def test_explain_trace_batch(runner):
     res = run(runner, "explain", input="aabaabbabb\nbab\n")
     assert res.exit_code == 0
     assert res.output == (
@@ -135,14 +135,14 @@ def test_ancestor_trace_batch(runner):
     )
 
 
-def test_ancestor_batch(runner):
+def test_explain_batch_stop_words(runner):
     # one output line per input word, ending with that word's stop word
     res = run(runner, "explain", input="aabaabbabb\nbab\n")
     summaries = [line.split("; ")[-1] for line in res.output.splitlines()]
     assert [s.split()[0] for s in summaries] == ["anc=b", "anc=b"]
 
 
-def test_normalize_command(runner):
+def test_explain_rebuild_stages(runner):
     res = run(runner, "explain", "aabbaabbaabb")
     assert res.exit_code == 0
     assert res.output.splitlines()[-1] == "anc=aa rep=aa rebuilt=aabbaabb eqaof=aabbaabb"
@@ -156,7 +156,7 @@ def test_normalize_command(runner):
     assert res.output.splitlines()[-1] == "anc=aa rep=aa rebuilt=bababb eqaof=FALSE"
 
 
-def test_normalize_batch(runner):
+def test_explain_batch_verdicts(runner):
     # a FALSE line does not change the batch exit code
     res = run(runner, "explain", input="aabbaabbaabb\naabaabab\n")
     assert res.exit_code == 0
@@ -253,6 +253,31 @@ def test_equiv_batch_bad_line_is_data_error(runner, bad):
     assert res.exit_code == 65
     assert res.stdout == "EQUIVALENT\n"
     assert res.stderr == f"error: expected two words per line, got {bad!r}\n"
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [["check", "overlap-free"], ["reduce", "r1"], ["explain"], ["eqaof"],
+     ["closure", "--max-len", "12"], ["equiv"]],
+    ids=lambda cmd: cmd[0],
+)
+def test_batch_reader_is_one_rule(runner, cmd):
+    # every batch line is split on whitespace into exactly the command's
+    # number of words and gives the single-word run's output on one line;
+    # a line with another count stops the stream after the lines before it
+    n = 2 if cmd == ["equiv"] else 1
+    given = [ws[:n] for ws in (["aab", "abab"], ["bababb", "b"], ["abba", "aabaabab"])]
+    # the middle line pads its words with spaces and tabs
+    lines = [" ".join(given[0]), "  " + "\t ".join(given[1]) + "\t", " ".join(given[2])]
+    want = [run(runner, *cmd, *ws).output.rstrip("\n").replace("\n", "; ") for ws in given]
+    res = run(runner, *cmd, input="".join(line + "\n" for line in lines))
+    assert res.exit_code == 0
+    assert res.output.splitlines() == want
+    bad = " ".join(["ab"] * (n + 1))
+    res = run(runner, *cmd, input=f"{lines[0]}\n{bad}\n{lines[2]}\n")
+    assert res.exit_code == 65
+    assert res.stdout == want[0] + "\n"
+    assert res.stderr.startswith("error: expected ")
 
 
 def test_enum_aof(runner):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aofcanon import classes, pipeline, reductions, words
+from aofcanon import classes, overlap, pipeline, reductions, words
 from aofcanon.classes import pattern_table
 from aofcanon.errors import EmptyInput, WordError
 from aofcanon.frames import Frame
@@ -92,6 +92,22 @@ def test_descent_validates_its_words_once(monkeypatch):
     for w in slow.words_up_to(12):
         pipeline.eqaof(w)
     assert len(checked) == 2 ** 13 - 2
+
+
+def test_final_check_is_the_traced_overlap_scan(monkeypatch):
+    # the final check reaches overlap.has_overlap by name, so the benchmark's
+    # span around it counts the scan, with periods bounded by (n-2)//2
+    calls = []
+    scan = overlap.has_overlap
+
+    def counting(s, top=None):
+        calls.append((len(s), top))
+        return scan(s, top)
+
+    monkeypatch.setattr(overlap, "has_overlap", counting)
+    w = slow.thue_morse(1000)
+    assert pipeline.eqaof(w) == w
+    assert calls == [(1000, 499)]
 
 
 @given(ab_words)

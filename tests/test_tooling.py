@@ -137,3 +137,25 @@ def test_readme_examples_run():
     runner = CliRunner()
     for args, expected in examples:
         assert runner.invoke(main, shlex.split(args)).output == expected, args
+
+
+def test_one_home_per_input_check():
+    # bad input becomes exit 65 in one CLI handler, and the empty word is
+    # refused in one place, so every command and library entry point gives
+    # the same answer and message for it
+    handlers = [
+        node
+        for node in ast.walk(ast.parse(CLI.read_text()))
+        if isinstance(node, ast.ExceptHandler)
+        and isinstance(node.type, ast.Name)
+        and node.type.id == "WordError"
+    ]
+    assert len(handlers) == 1
+    raises = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "EmptyInput":
+                    raises.append(f"{path.name}:{node.lineno}")
+    assert len(raises) == 1, raises
