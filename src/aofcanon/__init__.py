@@ -29,7 +29,7 @@ from .reductions import (
     r1,
     tail_reduce,
 )
-from .frames import Frame, frame
+from .frames import frame
 from .classes import ClassPattern, in_special_class, match_S, pattern_table
 from .pipeline import PrimarySeries, Verdict, ancestor, decide_equiv, eqaof, normalize
 from .oracle import (
@@ -68,7 +68,6 @@ __all__ = [
     "is_ab_whole",
     "r1",
     "tail_reduce",
-    "Frame",
     "frame",
     "ClassPattern",
     "in_special_class",

@@ -1,12 +1,12 @@
 """Ancestor descent, rebuild, and the canonical-form entry points.
 
 The descent halves the word each round: cube-collapse, trim non-uniform
-tails, strip the fringe, and pull back through the morphism. Each round
-leaves one `Round` on the tape: its tail reports, the boundary letters
-trimming dropped and the fringe letters stripped with the core. `frame`'s
-core image test decides uniformity: a uniform word has no site, letter cube
-or non-reducible tail, and one `frame` rejects is collapsed completely once
-every site is found protected. It stops on a short word, an exceptional
+tails, then split off the fringe and pull back through the morphism in one
+`frame` call. Each round leaves one `Round` on the tape: its tail reports,
+the boundary letters trimming dropped and the fringe letters `frame` split
+off. `frame` also decides uniformity: a uniform word has no site, letter
+cube or non-reducible tail, and one `frame` rejects is collapsed completely
+once every site is found protected. It stops on a short word, an exceptional
 class, or a site unsafe to collapse. Each round word comes straight out of
 `r1`, so the round's class and wholeness tests are the private cores that
 skip the cube re-check; `eqaof` validates the stop word once, in `match_S`.
@@ -48,7 +48,7 @@ class Round:
     tails are the non-uniform tails the round trims and, on a round that
     stops there, the non-reducible tail left after trimming, all spanned on
     the round word. L/R are the boundary letters trimming drops, h/t the
-    fringe letters stripped with the core.
+    fringe letters `frame` splits off.
     """
 
     word: str | None
@@ -86,18 +86,14 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
         if len(u) <= 2 or _in_special(u):
             break
         rnd.tails = tails = detect_non_uniform_tails(u)
-        for tl in tails:
-            if tl.side == "left":
-                rnd.L = u[0]
-            else:
-                rnd.R = u[-1]
         lo, hi = _kept(u, tails)
+        # a tail has at least 8 letters and keeps 7, so a bound moves in from its end of u
+        # exactly when that side has a tail
+        rnd.L, rnd.R = u[0] if lo else "", u[-1] if hi < len(u) else ""
         up = u[lo:hi]
         try:
             f = frame(up)
-        except NotUniform:  # leave the handler at once: its traceback holds frame's core
-            f = None
-        if f is None:
+        except NotUniform:
             # the pre-trim word stops unless the trimmed one collapses cleanly
             if not _is_whole(up):
                 break
@@ -106,9 +102,8 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
                 tails += [replace(tl, start=tl.start + lo, end=tl.end + lo) for tl in stuck]
                 break
             f = frame(complete_reduction(up))
-        rnd.h, rnd.t = f.h, f.t
         prev_len = len(u)
-        u = f.core[::2]  # frame has tested that the core is a morphism image
+        rnd.h, u, rnd.t = f
         del up, f  # the next round holds only its own words, not this one's
     return PrimarySeries(u, rounds)
 
@@ -158,10 +153,8 @@ def decide_equiv(u: str, v: str) -> Verdict:
     """Partial equivalence decision through canonical forms."""
     cu = eqaof(u)
     cv = eqaof(v)
-    if cu is not None and cv is not None:
-        return Verdict.EQUIVALENT if cu == cv else Verdict.NOT_EQUIVALENT
-    if (cu is None) != (cv is None):
-        # one class has an almost overlap-free member and the other has
-        # none, so they differ
-        return Verdict.NOT_EQUIVALENT
-    return Verdict.UNKNOWN
+    if cu is None and cv is None:
+        return Verdict.UNKNOWN
+    # when exactly one is None, one class has an almost overlap-free member
+    # and the other has none, so they differ
+    return Verdict.EQUIVALENT if cu == cv else Verdict.NOT_EQUIVALENT

@@ -46,9 +46,18 @@ def phi(w: str) -> str:
     return out.decode()
 
 
-def _is_image_prefix(x: str) -> bool:
-    # every block pair (x[2i], x[2i+1]) is ab or ba
-    return negate(x[0::2]).startswith(x[1::2])
+def _core_offset(w: str) -> int | None:
+    """0 or 1, the offset at which w's block pairs are all ab or ba, or None.
+
+    Offset 0 is tried first, so a letter-alternating word gets 0.
+    """
+    nev = negate(w[0::2])
+    od = w[1::2]
+    if nev.startswith(od):  # pairs (w[2i], w[2i+1])
+        return 0
+    if od.startswith(nev[1:]):  # pairs (w[2i+1], w[2i+2])
+        return 1
+    return None
 
 
 def is_phi_image(w: str) -> bool:
@@ -56,7 +65,7 @@ def is_phi_image(w: str) -> bool:
 
     Images are exactly the even-length words whose block pairs are ab or ba.
     """
-    return len(w) % 2 == 0 and _is_image_prefix(w)
+    return len(w) % 2 == 0 and _core_offset(w) == 0
 
 
 def phi_inverse(w: str) -> str:
@@ -74,11 +83,11 @@ def is_letter_alternating(w: str) -> bool:
 def is_uniform(w: str) -> bool:
     """All double-letter factors start at positions of one parity.
 
-    Letter-alternating words are vacuously uniform. No double starts at an
-    even 0-indexed position iff each pair (w[2i], w[2i+1]) is ab or ba, iff
-    w is a prefix of a morphism image; dropping a letter swaps the parities.
+    No double starts at an even 0-indexed position iff each block pair at
+    offset 0 is ab or ba, and no double starts at an odd one iff each pair
+    at offset 1 is; letter-alternating words pass at both.
     """
-    return _is_image_prefix(w) or _is_image_prefix(w[1:])
+    return _core_offset(w) is not None
 
 
 def is_cube_free(w: str) -> bool:

@@ -12,22 +12,21 @@ import _oracles as slow
 
 
 def test_frame_frozen_examples():
-    f = frames.frame("abaabbab")
-    assert (f.h, f.core, f.t) == ("a", "baabba", "b")
+    # phi(bab) = baabba
+    assert frames.frame("abaabbab") == ("a", "bab", "b")
 
-    # no double at all: the core starts at the first letter
-    f = frames.frame("ababa")
-    assert (f.h, f.core, f.t) == ("", "abab", "a")
+    # no double at all: the block pairs start at the first letter
+    assert frames.frame("ababa") == ("", "aa", "a")
 
-    f = frames.frame("aabbaabbaabb")
-    assert (f.h, f.core, f.t) == ("a", "abbaabbaab", "b")
+    # phi(ababa) = abbaabbaab
+    assert frames.frame("aabbaabbaabb") == ("a", "ababa", "b")
 
 
 def test_frame_empty_and_tiny():
-    assert frames.frame("") == frames.Frame("", "", "")
-    assert frames.frame("a") == frames.Frame("", "", "a")
-    assert frames.frame("ab") == frames.Frame("", "ab", "")
-    assert frames.frame("aa") == frames.Frame("a", "", "a")
+    assert frames.frame("") == ("", "", "")
+    assert frames.frame("a") == ("", "", "a")
+    assert frames.frame("ab") == ("", "a", "")
+    assert frames.frame("aa") == ("a", "", "a")
 
 
 def test_frame_rejects_non_uniform():
@@ -36,9 +35,9 @@ def test_frame_rejects_non_uniform():
 
 
 def test_frame_core_check_survives_optimisation(monkeypatch):
-    # the core's image test is the uniformity check: an explicit raise, not
+    # the block-pair offset is the uniformity check: an explicit raise, not
     # an assert, so it also holds under python -O
-    monkeypatch.setattr(words, "is_phi_image", lambda w: False)
+    monkeypatch.setattr(words, "_core_offset", lambda w: None)
     with pytest.raises(NotUniform, match="'abba'"):
         frames.frame("abba")
 
@@ -49,27 +48,24 @@ def test_frame_matches_slow_exhaustive():
             with pytest.raises(NotUniform):
                 frames.frame(w)
             continue
-        f = frames.frame(w)
-        assert f.h + f.core + f.t == w, w
+        h, x, t = frames.frame(w)
+        assert h + words.phi(x) + t == w, w
 
 
 @given(st.text(alphabet="ab", max_size=150))
 @settings(max_examples=300)
 def test_frame_reassembly(w):
     u = reductions.complete_reduction(w)
-    f = frames.frame(u)
-    assert f.h + f.core + f.t == u
-    assert len(f.h) <= 1 and len(f.t) <= 1
-    assert words.is_phi_image(f.core)
+    h, x, t = frames.frame(u)
+    assert h + words.phi(x) + t == u
+    assert len(h) <= 1 and len(t) <= 1
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=80))
 def test_frame_of_exact_images(x):
-    # an image with no fringe keeps its full length in the core unless the
-    # word starts with a double at even position, which images never do
-    img = words.phi(x)
-    f = frames.frame(img)
-    assert f == frames.Frame("", img, "")
+    # an image splits off no fringe and pulls back to its own pre-image:
+    # only a double at an even position could shift it, and images have none
+    assert frames.frame(words.phi(x)) == ("", x, "")
 
 
 @given(st.text(alphabet="ab", max_size=100))
@@ -77,5 +73,5 @@ def test_frame_of_exact_images(x):
 def test_xi_wraps_with_negated_fringe(w):
     # the negated fringe letters complete U's fringe into blocks of its core
     u = reductions.complete_reduction(w)
-    f = frames.frame(u)
-    assert words.is_uniform(words.negate(f.h) + u + words.negate(f.t))
+    h, _, t = frames.frame(u)
+    assert words.is_uniform(words.negate(h) + u + words.negate(t))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from aofcanon import classes, overlap, pipeline, reductions, words
 from aofcanon.classes import pattern_table
 from aofcanon.errors import EmptyInput, WordError
-from aofcanon.frames import Frame
 from aofcanon.oracle import OracleAnswer, oracle_equiv
 from aofcanon.pipeline import Verdict
 from aofcanon.reductions import Tail
@@ -73,9 +72,9 @@ def test_ancestor_errors():
 
 def test_ancestor_halving_check_survives_optimisation(monkeypatch):
     # an explicit error, not an assert, so it also holds under python -O
-    # a frame whose core pulls back to the round word less one letter, so
-    # the descent still ends when nothing checks the halving
-    monkeypatch.setattr(pipeline, "frame", lambda w: Frame("", words.phi(w[1:]), ""))
+    # a frame that pulls back to the round word less one letter, so the
+    # descent still ends when nothing checks the halving
+    monkeypatch.setattr(pipeline, "frame", lambda w: ("", w[1:], ""))
     with pytest.raises(RuntimeError, match="over half of 32"):
         pipeline.ancestor(slow.thue_morse(32))
 

@@ -4,7 +4,8 @@ The benchmark's traced run names layer functions that must keep existing,
 the slow references must stay independent of the package they check, the
 package's modules must import each other without cycles, the package's
 invariants must raise rather than assert, the CLI must run no pipeline
-stage of its own, and the README's command table must list the commands the
+stage of its own, the descent must leave the morphism pull-back to `frame`,
+and the README's command table must list the commands the
 CLI has and its examples must run as shown.
 """
 from __future__ import annotations
@@ -117,6 +118,17 @@ def test_cli_runs_no_pipeline_stage_of_its_own():
             named += [alias.name for alias in node.names]
     assert "eqaof" in named
     assert not stages & set(named), sorted(stages & set(named))
+
+
+def test_pipeline_leaves_the_pull_back_to_frame():
+    # a stepped slice is how a word is pulled back through phi; frames.frame
+    # is its one home, so the descent cannot disagree with its own split
+    stepped = [
+        node.lineno
+        for node in ast.walk(ast.parse((PACKAGE / "pipeline.py").read_text()))
+        if isinstance(node, ast.Slice) and node.step is not None
+    ]
+    assert stepped == [], stepped
 
 
 def test_readme_command_table_matches_cli():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aofcanon import frames, overlap, words
+from aofcanon import overlap, words
 from aofcanon.errors import NotPhiImage, WordError
 
 import _oracles as slow
@@ -88,12 +88,6 @@ def test_phi_iterates_to_thue_morse():
 def test_phi_inverse_rejects(w):
     with pytest.raises(NotPhiImage):
         words.phi_inverse(w)
-
-
-def test_first_double_matches_scan():
-    for w in slow.words_up_to(9):
-        expected = next((i for i in range(len(w) - 1) if w[i] == w[i + 1]), -1)
-        assert frames._first_double(w) == expected, w
 
 
 def test_uniform_matches_slow_exhaustive():
