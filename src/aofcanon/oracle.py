@@ -115,8 +115,7 @@ def oracle_equiv(
     u: str, v: str, length_bound: int, step_bound: int = 1_000_000
 ) -> OracleAnswer:
     """YES when the bounded closures meet; UNKNOWN otherwise, never no."""
-    words._check_nonempty(u)
-    words._check_nonempty(v)
+    words._check_nonempty(v)  # u is checked by its closure, or equals v
     if u == v:
         return OracleAnswer.YES
     cu = closure(u, max(length_bound, len(u)), step_bound, stop_on=v)

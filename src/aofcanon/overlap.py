@@ -79,8 +79,9 @@ def brute_has_overlap(s: str) -> bool:
 
 def has_overlap(s: str, top: int | None = None) -> bool:
     """Some factor of length 2p+1 with period p, and p <= top when top is given."""
-    if top is None:
-        top = (len(s) - 1) // 2
+    # no factor of length 2p+1 fits above this period
+    limit = (len(s) - 1) // 2
+    top = limit if top is None else min(top, limit)
     return _has_run(s, ((p, p + 1) for p in _square_periods(top)))
 
 

@@ -85,8 +85,8 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
         rounds.append(rnd)
         if len(u) <= 2 or _in_special(u):
             break
-        rnd.tails = tails = detect_non_uniform_tails(u)
-        lo, hi = _kept(u, tails)
+        rnd.tails = detect_non_uniform_tails(u)
+        lo, hi = _kept(u, rnd.tails)
         # a tail has at least 8 letters and keeps 7, so a bound moves in from its end of u
         # exactly when that side has a tail
         rnd.L, rnd.R = u[0] if lo else "", u[-1] if hi < len(u) else ""
@@ -99,7 +99,7 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
                 break
             stuck = detect_non_reducible_tails(up)
             if stuck:
-                tails += [replace(tl, start=tl.start + lo, end=tl.end + lo) for tl in stuck]
+                rnd.tails.extend(replace(tl, start=tl.start + lo, end=tl.end + lo) for tl in stuck)
                 break
             f = frame(complete_reduction(up))
         prev_len = len(u)

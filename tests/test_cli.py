@@ -7,18 +7,17 @@ import pytest
 from click.testing import CliRunner
 
 import aofcanon
-from aofcanon import (
-    ancestor,
+from aofcanon.classes import in_special_class, match_S
+from aofcanon.cli import main
+from aofcanon.pipeline import ancestor
+from aofcanon.reductions import (
     detect_non_reducible_tails,
     detect_non_uniform_tails,
-    in_special_class,
     is_ab_whole,
-    is_uniform,
-    match_S,
     r1,
     tail_reduce,
 )
-from aofcanon.cli import main
+from aofcanon.words import is_uniform
 
 import _oracles as slow
 

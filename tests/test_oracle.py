@@ -111,6 +111,14 @@ def test_oracle_equiv_validates_equal_words():
         oracle.oracle_equiv("ab", "abc", 5)
 
 
+def test_oracle_equiv_checks_each_word_once(monkeypatch):
+    checked = []
+    original = words.check_word
+    monkeypatch.setattr(words, "check_word", lambda w: checked.append(w) or original(w))
+    oracle.oracle_equiv("aab", "aabb", 8)
+    assert checked.count("aab") == 1
+
+
 def test_enumerate_aof_matches_slow():
     got = oracle.enumerate_aof(10)
     expected = [w for w in slow.words_up_to(10) if slow.aof_slow(w)]

@@ -109,6 +109,13 @@ def test_fast_matches_quadratic_exhaustive():
         assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
 
 
+def test_period_bound_above_the_word_length():
+    # a period bound past (len - 1) // 2 admits no further factor of length 2p+1
+    assert overlap.has_overlap("ab", 5) is False
+    for w in slow.words_up_to(10):
+        assert overlap.has_overlap(w, 2 * len(w) + 1) == overlap.has_overlap(w), w
+
+
 def _tested_periods(top: int) -> list[int]:
     return sorted(m << k for m in (1, 3) for k in range(top.bit_length()) if m << k <= top)
 

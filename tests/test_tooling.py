@@ -5,8 +5,9 @@ the slow references must stay independent of the package they check, the
 package's modules must import each other without cycles, the package's
 invariants must raise rather than assert, the CLI must run no pipeline
 stage of its own, the descent must leave the morphism pull-back to `frame`,
-and the README's command table must list the commands the
-CLI has and its examples must run as shown.
+the package root must export only its checked entry points, and the
+README's command table must list the commands the CLI has and its examples
+must run as shown.
 """
 from __future__ import annotations
 
@@ -15,10 +16,13 @@ import doctest
 import importlib
 import re
 import shlex
+import types
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import aofcanon
 from aofcanon.cli import main
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -129,6 +133,43 @@ def test_pipeline_leaves_the_pull_back_to_frame():
         if isinstance(node, ast.Slice) and node.step is not None
     ]
     assert stepped == [], stepped
+
+
+def test_package_root_is_the_checked_surface():
+    # the root exports the names the README documents and nothing else; each
+    # of its word-taking functions checks its words, which the stage
+    # functions in the modules leave to their callers
+    exported = {
+        name
+        for name, value in vars(aofcanon).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == {
+        "eqaof",
+        "decide_equiv",
+        "Verdict",
+        "closure",
+        "oracle_equiv",
+        "OracleAnswer",
+        "enumerate_aof",
+        "is_overlap_free",
+        "is_almost_overlap_free",
+        "WordError",
+    }
+    assert aofcanon.__version__ and not hasattr(aofcanon, "__all__")
+    calls = [
+        (aofcanon.eqaof, ("xy",)),
+        (aofcanon.decide_equiv, ("xy", "ab")),
+        (aofcanon.decide_equiv, ("ab", "xy")),
+        (aofcanon.closure, ("xy", 8)),
+        (aofcanon.oracle_equiv, ("xy", "ab", 8)),
+        (aofcanon.oracle_equiv, ("ab", "xy", 8)),
+        (aofcanon.is_overlap_free, ("xy",)),
+        (aofcanon.is_almost_overlap_free, ("xy",)),
+    ]
+    for fn, args in calls:
+        with pytest.raises(aofcanon.WordError):
+            fn(*args)
 
 
 def test_readme_command_table_matches_cli():
