@@ -7,10 +7,6 @@ canonical representative, a star expression for display, and a regular
 expression for the cube-collapsed members of the class. The languages are
 pairwise disjoint (tested), so one alternation of all thirty, one capturing
 group per entry, names the class of a stop word in a single match.
-
-The public membership functions validate their argument: it must be
-cube-collapsed. The descent tests every round word straight out of r1, so
-it calls the private core _in_special, which skips that re-check.
 """
 from __future__ import annotations
 
@@ -18,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 
 from . import words
-from .reductions import _check_r1
 
 
 @dataclass(frozen=True)
@@ -85,16 +80,10 @@ def match_S(x: str) -> str | None:
 
     x must be cube-collapsed. The group that matched names the class.
     """
-    _check_r1(x)
     m = _ANY.fullmatch(x)
     return _TABLE[m.lastindex - 1].representative if m else None
 
 
-def _in_special(x: str) -> bool:
-    return _SPECIAL.fullmatch(x) is not None
-
-
 def in_special_class(x: str) -> bool:
     """Membership in the one class family that must stop the recursion early."""
-    _check_r1(x)
-    return _in_special(x)
+    return _SPECIAL.fullmatch(x) is not None

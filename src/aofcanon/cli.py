@@ -24,7 +24,7 @@ import click
 from . import classes as classes_mod
 from . import oracle as oracle_mod
 from . import __version__, pipeline, reductions, words
-from .errors import WordError
+from .errors import NotR1Reduced, WordError
 
 click.UsageError.exit_code = 64
 
@@ -69,13 +69,20 @@ def main() -> None:
     """Canonical almost overlap-free forms under the YY = YYY equivalence."""
 
 
+def _check_r1(w: str) -> str:
+    """The input check of check ab-whole, whose site scan assumes no letter cube."""
+    if "aaa" in w or "bbb" in w:
+        raise NotR1Reduced(f"letter cube present: {w[:32]!r}")
+    return w
+
+
 _PREDICATES: dict[str, Callable[[str], bool]] = {
     "overlap-free": words.is_overlap_free,
     "almost-overlap-free": words.is_almost_overlap_free,
     "cube-free": words.is_cube_free,
     "uniform": words.is_uniform,
     "letter-alternating": words.is_letter_alternating,
-    "ab-whole": reductions.is_ab_whole,
+    "ab-whole": lambda w: reductions.is_ab_whole(_check_r1(w)),
     "phi-image": words.is_phi_image,
 }
 

@@ -18,4 +18,4 @@ class NotUniform(WordError):
 
 
 class NotR1Reduced(WordError):
-    """A reduction step that assumes cube-collapsed input got a raw word."""
+    """The CLI's check ab-whole refusal of a word that is not cube-collapsed."""

@@ -43,15 +43,6 @@ def _neighbours(w: str, length_bound: int) -> tuple[set[str], bool]:
     return out, clipped
 
 
-def pi_neighbours(w: str, length_bound: int) -> set[str]:
-    """All single-step rewrites of w within the length bound."""
-    words._check_nonempty(w)
-    if length_bound < len(w):
-        raise ValueError(f"length bound {length_bound} below |w| = {len(w)}")
-    out, _ = _neighbours(w, length_bound)
-    return out
-
-
 @dataclass(frozen=True, slots=True)
 class ClosureResult:
     seed: str

@@ -7,9 +7,7 @@ the boundary letters trimming dropped and the fringe letters `frame` split
 off. `frame` also decides uniformity: a uniform word has no site, letter
 cube or non-reducible tail, and one `frame` rejects is collapsed completely
 once every site is found protected. It stops on a short word, an exceptional
-class, or a site unsafe to collapse. Each round word comes straight out of
-`r1`, so the round's class and wholeness tests are the private cores that
-skip the cube re-check; `eqaof` validates the stop word once, in `match_S`.
+class, or a site unsafe to collapse.
 
 The rebuild runs the same tape backwards from a replacement stop word,
 re-wrapping fringes and boundary letters and collapsing a letter-for-letter
@@ -27,17 +25,16 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import words
-from .classes import _in_special, match_S
+from .classes import in_special_class, match_S
 from .errors import NotUniform
 from .frames import frame
 from .reductions import (
     Tail,
-    _is_whole,
-    _kept,
     complete_reduction,
     detect_non_reducible_tails,
-    detect_non_uniform_tails,
+    is_ab_whole,
     r1,
+    tail_reduce,
 )
 
 
@@ -83,10 +80,9 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
             raise RuntimeError(f"round word of length {len(u)} is over half of {prev_len}")
         rnd = Round(u if trace else None, [])
         rounds.append(rnd)
-        if len(u) <= 2 or _in_special(u):
+        if len(u) <= 2 or in_special_class(u):
             break
-        rnd.tails = detect_non_uniform_tails(u)
-        lo, hi = _kept(u, rnd.tails)
+        rnd.tails, lo, hi = tail_reduce(u)
         # a tail has at least 8 letters and keeps 7, so a bound moves in from its end of u
         # exactly when that side has a tail
         rnd.L, rnd.R = u[0] if lo else "", u[-1] if hi < len(u) else ""
@@ -95,7 +91,7 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
             f = frame(up)
         except NotUniform:
             # the pre-trim word stops unless the trimmed one collapses cleanly
-            if not _is_whole(up):
+            if not is_ab_whole(up):
                 break
             stuck = detect_non_reducible_tails(up)
             if stuck:

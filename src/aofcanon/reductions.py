@@ -5,12 +5,14 @@ Three layers, matching the structure of the rewriting system:
   r1                 collapse every run of a single letter to length 2
   complete_reduction additionally collapse aXa -> aa and bXb -> bb sites
                      (X letter-alternating of odd length) until none remain
-  tail_reduce        trim the two non-uniform boundary patterns that block
-                     equivalence-preserving reduction at the word ends
+  tail_reduce        find the two non-uniform boundary patterns that block
+                     equivalence-preserving reduction at the word ends, and
+                     the bounds of the word left once each is trimmed
 
 r1 rebuilds the runs of a letter only when the word holds that letter's
 cube, so a cube-collapsed round word costs two substring searches and no
-copy.
+copy. The functions past r1 take a cube-collapsed word, as r1 returns it,
+and do not check it again.
 
 In a cube-collapsed word a site is a pair of consecutive doubles of one
 letter, so sites come in maximal runs of same-letter doubles. Inside a run
@@ -29,8 +31,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import NotR1Reduced
-
 _R1_A = re.compile(r"aaa+")
 _R1_B = re.compile(r"bbb+")
 
@@ -45,11 +45,6 @@ def r1(w: str) -> str:
     if "bbb" in w:
         w = _R1_B.sub("bb", w)
     return w
-
-
-def _check_r1(w: str) -> None:
-    if "aaa" in w or "bbb" in w:
-        raise NotR1Reduced(f"letter cube present: {w[:32]!r}")
 
 
 # Maximal runs of consecutive a-doubles (b-doubles), each pair an aXa (bXb)
@@ -82,21 +77,15 @@ def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
     (class B); only protected sites can be collapsed without changing the
     equivalence class in general.
     """
-    _check_r1(w)
     n = len(w)
     spans = set(_open_sites(w))  # a one-site run open at both ends counts once
     spans.update((n - e, n - s) for s, e in _open_sites(w[::-1]))
     return [((s + 1, e), "A" if w[s] == "a" else "B") for s, e in sorted(spans)]
 
 
-def _is_whole(w: str) -> bool:
-    return next(_open_sites(w), None) is None and next(_open_sites(w[::-1]), None) is None
-
-
 def is_ab_whole(w: str) -> bool:
     """True when every aXa / bXb occurrence is wrapped ab...ba / ba...ab."""
-    _check_r1(w)
-    return _is_whole(w)
+    return next(_open_sites(w), None) is None and next(_open_sites(w[::-1]), None) is None
 
 
 def complete_reduction(w: str) -> str:
@@ -170,15 +159,13 @@ def detect_non_reducible_tails(w: str) -> list[Tail]:
     return _detect(w, NON_REDUCIBLE)
 
 
-def _kept(w: str, tails: list[Tail]) -> tuple[int, int]:
-    """Bounds of w left once each given tail is cut to its 7 letters next to the rest."""
+def tail_reduce(w: str) -> tuple[list[Tail], int, int]:
+    """The non-uniform tails of w, and the bounds w[start:end] left once each
+    is cut to its 7 letters next to the rest.
+
+    Both sides come from one detection on w; the two trims commute.
+    """
+    tails = detect_non_uniform_tails(w)
     start = next((t.end - 7 for t in tails if t.side == "left"), 0)
     end = next((t.start + 6 for t in tails if t.side == "right"), len(w))
-    return start, end
-
-
-def tail_reduce(w: str) -> str:
-    """Trim both non-uniform tails from one detection; the two sides commute."""
-    _check_r1(w)
-    start, end = _kept(w, detect_non_uniform_tails(w))
-    return w[start:end]
+    return tails, start, end

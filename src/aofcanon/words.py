@@ -3,9 +3,8 @@
 Words are plain Python strings. The functions the package root exports
 check their words and raise WordError on anything else. The stage functions
 in the modules take words over {a, b} as the descent hands them and leave
-the check to their caller, apart from the entry points `ancestor`,
-`normalize` and `pi_neighbours`, so the descent checks each word once, where
-it enters.
+the check to their caller, apart from the entry points `ancestor` and
+`normalize`, so the descent checks each word once, where it enters.
 """
 from __future__ import annotations
 

@@ -6,7 +6,6 @@ import re
 import pytest
 
 from aofcanon import classes, reductions, words
-from aofcanon.errors import NotR1Reduced
 
 import _oracles as slow
 
@@ -67,11 +66,6 @@ def test_match_S(x, rep):
     assert classes.match_S(x) == rep
 
 
-def test_match_S_requires_reduced():
-    with pytest.raises(NotR1Reduced):
-        classes.match_S("aaa")
-
-
 _SPECIAL_RX = re.compile(r"(?:aab){2,}(?:b(?:aab)+)*(?:baa){2,}")
 
 
@@ -90,16 +84,6 @@ def test_in_special_class():
     assert classes.in_special_class("aabaabaabbaabbaabaabaa")
     assert not classes.in_special_class("aabaab")
     assert not classes.in_special_class("ab")
-    with pytest.raises(NotR1Reduced):
-        classes.in_special_class("bbb")
-
-
-def test_private_core_agrees_with_in_special_class():
-    # the descent calls the unvalidated core on words r1 has just returned
-    for w in slow.words_up_to(16):
-        if "aaa" in w or "bbb" in w:
-            continue
-        assert classes._in_special(w) == classes.in_special_class(w), w
 
 
 def test_negation_closure_of_table():

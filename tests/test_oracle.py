@@ -10,28 +10,29 @@ from aofcanon.oracle import OracleAnswer
 import _oracles as slow
 
 
+def _pi(w: str, length_bound: int) -> set[str]:
+    """The one-step rewrites of w under YY <-> YYY within the length bound."""
+    return oracle._neighbours(w, length_bound)[0]
+
+
 def test_pi_neighbours_frozen():
-    assert oracle.pi_neighbours("aa", 6) == {"aaa"}
-    assert oracle.pi_neighbours("aaa", 6) == {"aa", "aaaa"}
-    assert oracle.pi_neighbours("abab", 8) == {"ababab"}
-    assert oracle.pi_neighbours("ab", 8) == set()
+    assert _pi("aa", 6) == {"aaa"}
+    assert _pi("aaa", 6) == {"aa", "aaaa"}
+    assert _pi("abab", 8) == {"ababab"}
+    assert _pi("ab", 8) == set()
 
 
 def test_pi_neighbours_respects_bound():
     # the only expansion of abab would reach length 6
-    assert oracle.pi_neighbours("abab", 5) == set()
-    with pytest.raises(ValueError):
-        oracle.pi_neighbours("abab", 3)
-    with pytest.raises(EmptyInput):
-        oracle.pi_neighbours("", 4)
+    assert oracle._neighbours("abab", 5) == (set(), True)
 
 
 def test_pi_neighbours_are_symmetric():
     # w reachable from v in one step means v reachable from w in one step,
     # given enough room
     for w in slow.words_up_to(6):
-        for v in oracle.pi_neighbours(w, 9):
-            assert w in oracle.pi_neighbours(v, 9), (w, v)
+        for v in _pi(w, 9):
+            assert w in _pi(v, 9), (w, v)
 
 
 def test_neighbours_match_slow_exhaustive():
@@ -90,6 +91,20 @@ def test_closure_equivariance_small():
         rev = oracle.closure(w[::-1], bound).members
         assert tuple(sorted((words.negate(m) for m in base), key=lambda x: (len(x), x))) == neg
         assert tuple(sorted((m[::-1] for m in base), key=lambda x: (len(x), x))) == rev
+
+
+def _junctions(w: str) -> tuple[str, str, frozenset[str]]:
+    return w[0], w[-1], frozenset(w[i : i + 2] for i in range(len(w) - 1))
+
+
+def test_closure_keeps_the_junction_invariant():
+    # a rewrite xYYz <-> xYYYz keeps the letters on both sides of every
+    # junction: the first letter, the last letter and the set of 2-letter
+    # factors are the same for every member of a class
+    for w in slow.words_up_to(10):
+        inv = _junctions(w)
+        for m in oracle.closure(w, len(w) + 6).members:
+            assert _junctions(m) == inv, (w, m)
 
 
 def test_oracle_equiv():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aofcanon import classes, overlap, pipeline, reductions, words
+from aofcanon import classes, cli, overlap, pipeline, words
 from aofcanon.classes import pattern_table
 from aofcanon.errors import EmptyInput, WordError
 from aofcanon.oracle import OracleAnswer, oracle_equiv
@@ -80,17 +80,22 @@ def test_ancestor_halving_check_survives_optimisation(monkeypatch):
 
 
 def test_descent_validates_its_words_once(monkeypatch):
-    # every round word comes out of r1, so ancestor never re-checks it for
-    # cubes; eqaof checks the stop word once, in match_S
+    # every round word comes out of r1, so the descent re-checks none of
+    # them and never reaches the CLI's cube check: ancestor checks its input
+    # once where it enters, and eqaof checks the stop word's class
+    # representative once more, in normalize
     checked = []
-    for mod in (reductions, classes):
-        monkeypatch.setattr(mod, "_check_r1", checked.append)
+    check_word = words.check_word
+    monkeypatch.setattr(words, "check_word", lambda w: checked.append(w) or check_word(w))
+    monkeypatch.setattr(cli, "_check_r1", lambda w: checked.append(("r1", w)) or w)
     for w in slow.words_up_to(12):
-        pipeline.ancestor(w)
-    assert checked == []
-    for w in slow.words_up_to(12):
+        checked.clear()
+        series = pipeline.ancestor(w)
+        assert checked == [w]
+        rep = classes.match_S(series.anc)
+        checked.clear()
         pipeline.eqaof(w)
-    assert len(checked) == 2 ** 13 - 2
+        assert checked == [w] + ([rep] if rep is not None else [])
 
 
 def test_final_check_is_the_traced_overlap_scan(monkeypatch):

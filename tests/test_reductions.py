@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aofcanon import pipeline, reductions, words
-from aofcanon.errors import NotR1Reduced
 from aofcanon.reductions import Tail
 
 import _oracles as slow
@@ -129,7 +128,6 @@ def test_wholeness_matches_slow_exhaustive():
         expected = slow.unprotected_sites_slow(w)
         assert reductions.find_whole_violations(w) == expected, w
         assert reductions.is_ab_whole(w) == (not expected), w
-        assert reductions._is_whole(w) == (not expected), w  # the descent's core
 
 
 def _doubles_apart(first: str, stretches: list[int]) -> str:
@@ -161,7 +159,6 @@ def test_wholeness_matches_slow_on_long_stretches(first, stretches):
     expected = slow.unprotected_sites_slow(w)
     assert reductions.find_whole_violations(w) == expected
     assert reductions.is_ab_whole(w) == (not expected)
-    assert reductions._is_whole(w) == (not expected)
 
 
 def test_uniform_words_have_nothing_to_collapse():
@@ -180,11 +177,6 @@ def test_wholeness_negation_symmetry():
         viols = reductions.find_whole_violations(w)
         neg = reductions.find_whole_violations(words.negate(w))
         assert [(s, {"A": "B", "B": "A"}[c]) for s, c in viols] == neg, w
-
-
-def test_wholeness_requires_r1_reduced():
-    with pytest.raises(NotR1Reduced):
-        reductions.is_ab_whole("aaab")
 
 
 def test_tail_detection_frozen():
@@ -254,13 +246,20 @@ def _trim_side(w: str, side: str) -> str:
     return w
 
 
+def _trimmed(w: str) -> str:
+    _, start, end = reductions.tail_reduce(w)
+    return w[start:end]
+
+
 def test_tail_reduce_frozen():
-    assert reductions.tail_reduce("aabaabbabb") == "abaabbab"
+    tails, start, end = reductions.tail_reduce("aabaabbabb")
+    assert tails == reductions.detect_non_uniform_tails("aabaabbabb")
+    assert "aabaabbabb"[start:end] == "abaabbab"
     assert _trim_side("aabaabbabb", "left") == "abaabbabb"
     assert _trim_side("aabaabbabb", "right") == "aabaabbab"
     # words without tails pass through untouched
-    assert reductions.tail_reduce("aabbaabbaabb") == "aabbaabbaabb"
-    assert reductions.tail_reduce("ab") == "ab"
+    assert reductions.tail_reduce("aabbaabbaabb") == ([], 0, 12)
+    assert reductions.tail_reduce("ab") == ([], 0, 2)
 
 
 def test_tail_reduce_keeps_seven_of_span():
@@ -268,7 +267,7 @@ def test_tail_reduce_keeps_seven_of_span():
     w = "aab" * 3 + "ba" + "bbab"
     (t,) = reductions.detect_non_uniform_tails(w)
     assert (t.side, t.start, t.end) == ("left", 1, 11)
-    assert reductions.tail_reduce(w) == w[t.end - 7 :]
+    assert reductions.tail_reduce(w) == ([t], t.end - 7, len(w))
 
 
 def test_tail_reduce_sides_commute_exhaustive():
@@ -277,6 +276,6 @@ def test_tail_reduce_sides_commute_exhaustive():
     for w in slow.words_up_to(16):
         if "aaa" in w or "bbb" in w:
             continue
-        both = reductions.tail_reduce(w)
+        both = _trimmed(w)
         assert both == _trim_side(_trim_side(w, "left"), "right"), w
         assert both == _trim_side(_trim_side(w, "right"), "left"), w

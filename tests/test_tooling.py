@@ -1,13 +1,13 @@
 """Checks on the test and benchmark tooling itself.
 
-The benchmark's traced run names layer functions that must keep existing,
-the slow references must stay independent of the package they check, the
-package's modules must import each other without cycles, the package's
-invariants must raise rather than assert, the CLI must run no pipeline
-stage of its own, the descent must leave the morphism pull-back to `frame`,
-the package root must export only its checked entry points, and the
-README's command table must list the commands the CLI has and its examples
-must run as shown.
+The benchmark's traced run names layer functions that must keep existing
+and that the descent must reach by those names, the slow references must
+stay independent of the package they check, the package's modules must
+import each other without cycles, the package's invariants must raise
+rather than assert, the CLI must run no pipeline stage of its own, the
+descent must leave the morphism pull-back to `frame`, the package root must
+export only its checked entry points, and the README's command table must
+list the commands the CLI has and its examples must run as shown.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import doctest
 import importlib
 import re
 import shlex
+import sys
 import types
 from pathlib import Path
 
@@ -23,7 +24,10 @@ import pytest
 from click.testing import CliRunner
 
 import aofcanon
+from aofcanon import pipeline
 from aofcanon.cli import main
+
+import _oracles as slow
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ORACLES = Path(__file__).resolve().parent / "_oracles.py"
@@ -43,6 +47,19 @@ def _layers() -> dict[str, tuple[str, ...]]:
     raise AssertionError(f"no LAYERS table in {TRACER}")
 
 
+def _names(node: ast.AST) -> set[str]:
+    """The names an AST node binds, reads or imports."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.ImportFrom):
+        return {alias.name for alias in node.names}
+    return set()
+
+
 def test_traced_layers_exist():
     layers = _layers()
     assert layers
@@ -50,6 +67,36 @@ def test_traced_layers_exist():
         module = importlib.import_module(f"aofcanon.{mod}")
         for fn in fns:
             assert callable(getattr(module, fn, None)), f"{mod}.{fn}"
+
+
+def test_descent_stages_are_traceable(monkeypatch):
+    # the benchmark rebinds each layer function wherever a package module
+    # holds it, so a stage the descent reached through a private twin would
+    # read 0 calls; rebind the same way and count
+    calls: dict[str, int] = {}
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "aofcanon"]
+    for mod, fns in _layers().items():
+        if mod not in ("reductions", "classes", "frames", "words", "overlap"):
+            continue
+        for fn in fns:
+            name = f"{mod}.{fn}"
+            orig = getattr(importlib.import_module(f"aofcanon.{mod}"), fn)
+            calls[name] = 0
+
+            def counted(*args, _orig=orig, _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+
+            for m in modules:
+                for attr, value in list(vars(m).items()):
+                    if value is orig:
+                        monkeypatch.setattr(m, attr, counted)
+    for w in slow.words_up_to(12):
+        pipeline.eqaof(w)
+    # frame slices the pre-image off the round word itself, so nothing calls
+    # phi_inverse; retargeting its span waits on ROADMAP item 1
+    calls.pop("words.phi_inverse")
+    assert calls and all(calls.values()), calls
 
 
 def test_slow_oracles_import_nothing_from_the_package():
@@ -112,16 +159,9 @@ def test_cli_runs_no_pipeline_stage_of_its_own():
         "detect_non_reducible_tails",
         "tail_reduce",
     }
-    named = []
-    for node in ast.walk(ast.parse(CLI.read_text())):
-        if isinstance(node, ast.Name):
-            named.append(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.append(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            named += [alias.name for alias in node.names]
+    named = set().union(*map(_names, ast.walk(ast.parse(CLI.read_text()))))
     assert "eqaof" in named
-    assert not stages & set(named), sorted(stages & set(named))
+    assert not stages & named, sorted(stages & named)
 
 
 def test_pipeline_leaves_the_pull_back_to_frame():
@@ -212,3 +252,21 @@ def test_one_home_per_input_check():
                 if isinstance(exc, ast.Name) and exc.id == "EmptyInput":
                     raises.append(f"{path.name}:{node.lineno}")
     assert len(raises) == 1, raises
+    # the stage functions trust that their word is cube-collapsed: the one
+    # cube check is the CLI's input check for check ab-whole
+    homes = {"_check_r1": set(), "NotR1Reduced": set()}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            for name in homes.keys() & _names(node):
+                homes[name].add(path.name)
+    assert homes == {"_check_r1": {"cli.py"}, "NotR1Reduced": {"cli.py", "errors.py"}}
+    # the descent calls each stage by its public, traced name, so no
+    # private twin of a stage can come back
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse((PACKAGE / "pipeline.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], private
