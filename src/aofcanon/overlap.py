@@ -1,29 +1,49 @@
-"""Overlap and cube detection for binary words, near-linear for overlaps.
+"""Overlap and cube detection for binary words, linear-time for overlaps.
 
 An overlap is a factor of length 2p+1 with period p (equivalently cYcYc with
 c a letter and Y possibly empty). Checking every period at every position is
 quadratic, which is fine up to a few hundred letters and hopeless at a
 megabyte.
 
-The fast check rests on one lemma: every square in a binary overlap-free word
-has period 2^k or 3*2^k (Shelton-Soni 1985). Take a shortest overlap factor F
-of a word, with period p. Its prefix F[:2p] is a square, and that square is
-overlap-free, because an overlap inside it would be a shorter overlap factor
-of the word. So p is 2^k or 3*2^k, and a word has an overlap exactly when it
-has one of such a period. `has_overlap` tests only those periods, about
-2*log2(n) of them; `brute_has_overlap` tests every period and is the
-reference. A word of length n has an overlapping proper factor (2p+1 <= n-1)
-exactly when its shortest overlap is one, so the almost overlap-free check
-is the same scan with its period bound `top` set to (n-2)//2.
+Two facts make the fast checks. First, every square in a binary overlap-free
+word has period 2^k or 3*2^k (Shelton-Soni 1985). Take a shortest overlap
+factor F of a word, with period p. Its prefix F[:2p] is a square, and that
+square is overlap-free, because an overlap inside it would be a shorter
+overlap factor of the word. So p is 2^k or 3*2^k, and a word has an overlap
+exactly when it has one of such a period. A word of length n has an
+overlapping proper factor (2p+1 <= n-1) exactly when its shortest overlap is
+one. `brute_has_overlap` tests every period and is the reference.
 
-Each period is one scan at C speed. Read the word as an integer with one bit
-per letter, the last letter lowest, under a leading sentinel 1. Below bit
-n-p, a set bit i of ~(x ^ (x >> p)) says the letters at 0-indexed positions
-n-1-i-p and n-1-i agree. A factor of period p and length p+need is a run of
-`need` set bits, found with about log2(need) shift-and steps. The cost is
-O(n log^2 n / word size) for `has_overlap`. The encoding (`_as_int`) and the
-per-period mask (`_run_mask`) are shared: `oracle` reads its squares and
-cubes off the same masks.
+Second, every overlap-free binary word of 7 letters or more is x phi(u) y,
+with x and y in {'', a, b, aa, bb} and u overlap-free (Restivo-Salemi 1985),
+and phi(u) is overlap-free exactly when u is (Thue). `has_overlap`
+desubstitutes a word w above `_FLOOR` letters one round at a time (Kfoury
+1988). The doubles aa and bb of phi(u) start at odd offsets from its first
+letter, so the first double in w[2:7], which lies inside phi(u), fixes the
+parity of |x|: an odd |x| is 1, and an even |x| is 2 exactly when w starts
+with a double, which no block ab or ba is. The parity of |y| follows from
+|phi(u)| being even, and y is fixed the same way from the other end. A
+w[2:7] with no double is ababa or babab, an overlap. If the core between the
+fringes is not a phi-image, w has an overlap; if u = core[::2] has one, so
+has w. Otherwise every overlap of w holds a fringe letter, so w's shortest
+one starts in x or ends in y: one comparison per fringe letter and period.
+The next round reads u, half as long, so the test is O(n). It needs more
+than 8 letters, for w[2:7] to sit inside the core, and costs tens of
+microseconds of Python per round, which loses to the scan below on words of
+up to a few thousand letters; `_FLOOR` is set at 4096, and below it, and at
+the end of the rounds, the scan runs. A word's proper factors are tested in
+the same pass: first w[:-1], then only the suffixes of w that could hold an
+overlap of w[1:] that w[:-1] lacks.
+
+The scan tests each period at C speed. Read the word as an integer with one
+bit per letter, the last letter lowest, under a leading sentinel 1. Below
+bit n-p, a set bit i of ~(x ^ (x >> p)) says the letters at 0-indexed
+positions n-1-i-p and n-1-i agree. A factor of period p and length p+need is
+a run of `need` set bits, found with about log2(need) shift-and steps; over
+the about 2*log2(n) periods 2^k and 3*2^k the cost is O(n log^2 n / word
+size). The encoding (`_as_int`) and the per-period mask (`_run_mask`) are
+shared: `oracle` reads its squares and cubes off the same masks, and
+`has_cube` and `brute_has_overlap` scan every period with them.
 """
 from __future__ import annotations
 
@@ -33,6 +53,9 @@ from .errors import WordError
 
 # a -> 0, b -> 1; every other byte -> x, which int(..., 2) rejects
 _BITS = b"x" * 97 + b"01" + b"x" * 157
+_NEGATE = str.maketrans("ab", "ba")  # words.NEGATE; words imports this module
+# words up to this length are scanned, longer ones desubstituted first; at least 8
+_FLOOR = 4096
 
 
 def _as_int(s: str) -> int:
@@ -77,12 +100,47 @@ def brute_has_overlap(s: str) -> bool:
     return _has_run(s, ((p, p + 1) for p in range(1, (len(s) - 1) // 2 + 1)))
 
 
-def has_overlap(s: str, top: int | None = None) -> bool:
-    """Some factor of length 2p+1 with period p, and p <= top when top is given."""
-    # no factor of length 2p+1 fits above this period
-    limit = (len(s) - 1) // 2
-    top = limit if top is None else min(top, limit)
-    return _has_run(s, ((p, p + 1) for p in _square_periods(top)))
+def has_overlap(s: str, proper: bool = False) -> bool:
+    """Some factor of length 2p+1 with period p; a proper factor of s when proper."""
+    n = len(s)
+    hi = n - 1 if proper else n
+    if hi <= _FLOOR:
+        # no factor of length 2p+1 fits in hi letters above this period
+        return _has_run(s, ((p, p + 1) for p in _square_periods((hi - 1) // 2)))
+    # the rounds do not read every letter, so check them all first, 64K at a
+    # time: translating a whole-word copy would hold two copies at once
+    if not s.isascii() or any(
+        s[i : i + 65536].encode().translate(None, b"ab") for i in range(0, n, 65536)
+    ):
+        raise WordError(f"not a word over {{a,b}}: {s[:32]!r}")
+    if _desubstitute(s, hi):
+        return True
+    # s[:-1] is overlap-free, so a shortest overlap of s[1:] is a suffix of s
+    return proper and any(
+        s.startswith(s[n - p - 1 :], n - 2 * p - 1) for p in _square_periods((n - 2) // 2)
+    )
+
+
+def _desubstitute(w: str, n: int) -> bool:
+    """w[:n] has an overlap, by the rounds of the module note."""
+    while n > _FLOOR:
+        d = w.find("aa", 2, 7)
+        if d < 0:
+            d = w.find("bb", 2, 7)
+            if d < 0:
+                return True  # w[2:7] is ababa or babab
+        lx = 1 if d % 2 == 0 else 2 if w[0] == w[1] else 0
+        ly = 1 if (n - lx) % 2 else 2 if w[n - 2] == w[n - 1] else 0
+        for p in _square_periods((n - 1) // 2):
+            # the factors of length 2p+1 that start in x or end in y
+            for s in (*range(lx), *range(n - ly - 2 * p, n - 2 * p)):
+                if 0 <= s < n - 2 * p and w.startswith(w[s + p : s + 2 * p + 1], s):
+                    return True
+        u = w[lx : n - ly : 2]
+        if u.translate(_NEGATE) != w[lx + 1 : n - ly : 2]:
+            return True  # the core is not phi(u)
+        w, n = u, len(u)
+    return _has_run(w[:n], ((p, p + 1) for p in _square_periods((n - 1) // 2)))
 
 
 def has_cube(s: str) -> bool:

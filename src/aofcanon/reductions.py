@@ -138,12 +138,17 @@ _LEFT = {
 }
 
 
+# How a right-side tail of each family ends: the first letters of its left
+# patterns, reversed. Only a word that ends so is reversed and matched.
+_RIGHT_END = {NON_UNIFORM: ("baabaa", "abbabb"), NON_REDUCIBLE: ("aba", "bab")}
+
+
 def _detect(w: str, family: str) -> list[Tail]:
     out = []
     m = _LEFT[family](w)
     if m:
         out.append(Tail("left", w[0].upper(), family, 1, m.end()))
-    m = _LEFT[family](w[::-1])
+    m = _LEFT[family](w[::-1]) if w.endswith(_RIGHT_END[family]) else None
     if m:
         out.append(Tail("right", w[-1].upper(), family, len(w) - m.end() + 1, len(w)))
     return out

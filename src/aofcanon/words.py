@@ -103,5 +103,10 @@ def is_overlap_free(w: str) -> bool:
 
 
 def is_almost_overlap_free(w: str) -> bool:
-    """Every proper factor is overlap-free; w itself may be an overlap (aaa)."""
-    return not overlap.has_overlap(w, (len(w) - 2) // 2)
+    """Every proper factor is overlap-free; w itself may be an overlap (aaa).
+
+    One `overlap.has_overlap` call in linear time: a long word is
+    desubstituted round by round, and its proper factors are tested in the
+    same pass (the `overlap` module note).
+    """
+    return not overlap.has_overlap(w, proper=True)

@@ -7,11 +7,17 @@ compared with the every-period check on all short words, on single flips of
 Thue-Morse prefixes whose length just admits each tested period, on overlaps
 planted at the ends of a long word, where the bit masks are cut, and on
 mutated morphism images. The every-period check is itself compared against
-the letter-by-letter one on short words.
+the letter-by-letter one on short words. Desubstitution, which runs only on
+words above `overlap._FLOOR` letters, is tested with that floor lowered to 8
+letters on short words, and at its own floor on Thue-Morse factors.
 """
 from __future__ import annotations
 
 import random
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aofcanon import overlap, words
 
@@ -109,11 +115,15 @@ def test_fast_matches_quadratic_exhaustive():
         assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
 
 
-def test_period_bound_above_the_word_length():
-    # a period bound past (len - 1) // 2 admits no further factor of length 2p+1
-    assert overlap.has_overlap("ab", 5) is False
+def test_proper_factors_only():
+    # proper=True asks for an overlap in s[:-1] or s[1:]; words of up to two
+    # letters have no proper factor long enough
+    for w in ("", "a", "ab", "aaa"):
+        assert overlap.has_overlap(w, proper=True) is False
     for w in slow.words_up_to(10):
-        assert overlap.has_overlap(w, 2 * len(w) + 1) == overlap.has_overlap(w), w
+        assert overlap.has_overlap(w, proper=True) == (
+            overlap.has_overlap(w[:-1]) or overlap.has_overlap(w[1:])
+        ), w
 
 
 def _tested_periods(top: int) -> list[int]:
@@ -171,3 +181,75 @@ def test_overlap_equivariance_long():
         r = overlap.has_overlap(w)
         assert overlap.has_overlap(words.negate(w)) == r
         assert overlap.has_overlap(w[::-1]) == r
+
+
+def _agrees_with_the_scan(w: str) -> None:
+    assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
+    proper = overlap.brute_has_overlap(w[:-1]) or overlap.brute_has_overlap(w[1:])
+    assert overlap.has_overlap(w, proper=True) == proper, w
+
+
+def test_desubstitution_matches_references_exhaustive(monkeypatch):
+    monkeypatch.setattr(overlap, "_FLOOR", 8)
+    for w in slow.words_up_to(16, min_len=0):
+        assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
+        assert words.is_almost_overlap_free(w) == slow.aof_slow(w), w
+
+
+def test_desubstitution_on_adversarial_families(monkeypatch):
+    monkeypatch.setattr(overlap, "_FLOOR", 8)
+    for w in _families(random.Random(0x5EED)):
+        _agrees_with_the_scan(w)
+
+
+_TM = slow.thue_morse(1 << 14)
+_FRINGES = ("", "a", "b", "aa", "bb")
+
+
+@st.composite
+def _planted(draw, length: int) -> str:
+    """A Thue-Morse factor between fringe letters, with an overlap (or, with
+    its last letter flipped, a square) planted at its start, middle or end."""
+    n = draw(st.integers(length - length // 4, length))
+    i = draw(st.integers(0, len(_TM) - n))
+    w = draw(st.sampled_from(_FRINGES)) + _TM[i : i + n] + draw(st.sampled_from(_FRINGES))
+    cut = draw(st.sampled_from((None, 0, len(w) // 2, len(w))))
+    if cut is None:
+        return w
+    p = draw(st.integers(1, max(1, len(w) // 3)))
+    j = draw(st.integers(0, len(w) - p))
+    y = w[j : j + p]
+    tip = y[0] if draw(st.booleans()) else words.negate(y[0])
+    return w[:cut] + y + y + tip + w[cut:]
+
+
+@given(_planted(400))
+@settings(max_examples=300)
+def test_desubstitution_on_planted_thue_morse_factors(w):
+    saved = overlap._FLOOR
+    overlap._FLOOR = 8
+    try:
+        _agrees_with_the_scan(w)
+    finally:
+        overlap._FLOOR = saved
+
+
+@given(_planted(1 << 13))
+@settings(max_examples=20)
+def test_desubstitution_above_the_floor(w):
+    # long enough that the proper-factor test desubstitutes w[:-1] too
+    assert len(w) > overlap._FLOOR + 1
+    _agrees_with_the_scan(w)
+
+
+def test_almost_overlap_free_check_is_lean():
+    # desubstitution holds half-length slices only; the scan held the word
+    # as bytes twice over, 2 MiB on this word
+    w = slow.thue_morse(1 << 20)
+    tracemalloc.start()
+    try:
+        assert words.is_almost_overlap_free(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -99,19 +99,22 @@ def test_descent_validates_its_words_once(monkeypatch):
 
 
 def test_final_check_is_the_traced_overlap_scan(monkeypatch):
-    # the final check reaches overlap.has_overlap by name, so the benchmark's
-    # span around it counts the scan, with periods bounded by (n-2)//2
+    # the final check reaches overlap.has_overlap by name, once, so the
+    # benchmark's span around it counts the whole check, on words scanned
+    # and on words desubstituted alike
     calls = []
     scan = overlap.has_overlap
 
-    def counting(s, top=None):
-        calls.append((len(s), top))
-        return scan(s, top)
+    def counting(s, proper=False):
+        calls.append((len(s), proper))
+        return scan(s, proper)
 
     monkeypatch.setattr(overlap, "has_overlap", counting)
-    w = slow.thue_morse(1000)
-    assert pipeline.eqaof(w) == w
-    assert calls == [(1000, 499)]
+    for n in (1000, 2 * overlap._FLOOR):
+        calls.clear()
+        w = slow.thue_morse(n)
+        assert pipeline.eqaof(w) == w
+        assert calls == [(n, True)]
 
 
 @given(ab_words)

@@ -238,6 +238,26 @@ def test_tail_detection_symmetry():
             ) == sorted((t.side, t.letter_class, t.start, t.end) for t in rev)
 
 
+def _right_tails_agree(w: str) -> None:
+    # _detect reverses the word only when it ends as a right-side tail of the
+    # family can; reversing every word finds no other tail
+    for family in (reductions.NON_UNIFORM, reductions.NON_REDUCIBLE):
+        m = reductions._LEFT[family](w[::-1])
+        unguarded = [] if m is None else [(len(w) - m.end() + 1, len(w))]
+        got = [(t.start, t.end) for t in reductions._detect(w, family) if t.side == "right"]
+        assert got == unguarded, (w, family)
+
+
+def test_right_tail_guard_exhaustive():
+    for w in slow.words_up_to(14, min_len=0):
+        _right_tails_agree(w)
+
+
+@given(st.lists(st.sampled_from(["a", "b", "ab", "ba", "aab", "bba", "aba", "bab"]), max_size=40))
+def test_right_tail_guard_random(pieces):
+    _right_tails_agree("".join(pieces))
+
+
 def _trim_side(w: str, side: str) -> str:
     # cut one side's non-uniform tail, detected on w itself, to 7 letters
     for t in reductions.detect_non_uniform_tails(w):

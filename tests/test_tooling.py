@@ -83,9 +83,9 @@ def test_descent_stages_are_traceable(monkeypatch):
             orig = getattr(importlib.import_module(f"aofcanon.{mod}"), fn)
             calls[name] = 0
 
-            def counted(*args, _orig=orig, _name=name):
+            def counted(*args, _orig=orig, _name=name, **kwargs):
                 calls[_name] += 1
-                return _orig(*args)
+                return _orig(*args, **kwargs)
 
             for m in modules:
                 for attr, value in list(vars(m).items()):

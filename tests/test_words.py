@@ -45,6 +45,17 @@ def test_overlap_predicates_reject_non_words(predicate, bad):
         predicate(bad)
 
 
+def test_overlap_predicates_reject_long_non_words():
+    # above overlap._FLOOR letters the check desubstitutes, reading only some
+    # letters, so it checks every letter first
+    tm = slow.thue_morse(3 * overlap._FLOOR)
+    mid = len(tm) // 2
+    for bad in ("c" + tm, tm[:mid] + "c" + tm[mid:], tm + "\u00e9", tm.replace("a", "0")):
+        for predicate in (words.is_overlap_free, words.is_almost_overlap_free):
+            with pytest.raises(WordError):
+                predicate(bad)
+
+
 def test_check_word_accepts_lambda():
     # the library accepts the empty word; only the CLI refuses it
     assert words.check_word("") == ""
