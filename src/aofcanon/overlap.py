@@ -66,6 +66,22 @@ def _as_int(s: str) -> int:
         raise WordError(f"not a word over {{a,b}}: {s[:32]!r}") from None
 
 
+def is_word(s: str) -> bool:
+    """True when s uses only the letters a and b (the empty word counts).
+
+    A long word is encoded 64K letters at a time: encoding and translating
+    it whole would hold two more copies of it at once.
+    """
+    # isascii first: it reads a flag, and encode() raises on a lone surrogate
+    if not s.isascii():
+        return False
+    if len(s) <= 65536:
+        return not s.encode().translate(None, b"ab")
+    return not any(
+        s[i : i + 65536].encode().translate(None, b"ab") for i in range(0, len(s), 65536)
+    )
+
+
 def _run_mask(x: int, n: int, p: int, need: int) -> int:
     """Bit i set when a factor of period p and length p + need starts at
     n-p-need-i in the n-letter word read as x."""
@@ -107,11 +123,8 @@ def has_overlap(s: str, proper: bool = False) -> bool:
     if hi <= _FLOOR:
         # no factor of length 2p+1 fits in hi letters above this period
         return _has_run(s, ((p, p + 1) for p in _square_periods((hi - 1) // 2)))
-    # the rounds do not read every letter, so check them all first, 64K at a
-    # time: translating a whole-word copy would hold two copies at once
-    if not s.isascii() or any(
-        s[i : i + 65536].encode().translate(None, b"ab") for i in range(0, n, 65536)
-    ):
+    # the rounds do not read every letter, so check them all first
+    if not is_word(s):
         raise WordError(f"not a word over {{a,b}}: {s[:32]!r}")
     if _desubstitute(s, hi):
         return True

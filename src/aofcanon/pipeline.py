@@ -1,13 +1,15 @@
 """Ancestor descent, rebuild, and the canonical-form entry points.
 
-The descent halves the word each round: cube-collapse, trim non-uniform
-tails, then split off the fringe and pull back through the morphism in one
-`frame` call. Each round leaves one `Round` on the tape: its tail reports,
-the boundary letters trimming dropped and the fringe letters `frame` split
-off. `frame` also decides uniformity: a uniform word has no site, letter
-cube or non-reducible tail, and one `frame` rejects is collapsed completely
-once every site is found protected. It stops on a short word, an exceptional
-class, or a site unsafe to collapse.
+The descent halves the word each round, and `frame` runs first: it decides
+uniformity, and splits a uniform word into its fringe and its pre-image
+under the morphism in one call. A uniform word holds no letter cube, is not
+in the special class and has no non-uniform tail, so that call is its whole
+round. A word `frame` rejects is cube-collapsed, its non-uniform tails are
+trimmed, and `frame` runs on what is left; if that is still not uniform, it
+is collapsed completely once every site is found protected. Each round
+leaves one `Round` on the tape: its tail reports, the boundary letters
+trimming dropped and the fringe letters `frame` split off. The descent
+stops on a short word, an exceptional class, or a site unsafe to collapse.
 
 The rebuild runs the same tape backwards from a replacement stop word,
 re-wrapping fringes and boundary letters and collapsing a letter-for-letter
@@ -75,32 +77,44 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
     rounds: list[Round] = []
     prev_len = None
     while True:
-        u = r1(u)
+        # A uniform word holds no letter cube, and no aabaab, bbabba or their
+        # reversals: each has doubles at both parities. Every special-class
+        # word and every non-uniform tail holds one of those four, so r1,
+        # in_special_class and tail_reduce would pass a uniform word through
+        # unchanged, and frame alone makes its round.
+        try:
+            f = frame(u) if len(u) > 2 else None
+        except NotUniform:
+            f = None
+        if f is None:
+            u = r1(u)
         if prev_len is not None and 2 * len(u) > prev_len:
             raise RuntimeError(f"round word of length {len(u)} is over half of {prev_len}")
         rnd = Round(u if trace else None, [])
         rounds.append(rnd)
-        if len(u) <= 2 or in_special_class(u):
-            break
-        rnd.tails, lo, hi = tail_reduce(u)
-        # a tail has at least 8 letters and keeps 7, so a bound moves in from its end of u
-        # exactly when that side has a tail
-        rnd.L, rnd.R = u[0] if lo else "", u[-1] if hi < len(u) else ""
-        up = u[lo:hi]
-        try:
-            f = frame(up)
-        except NotUniform:
-            # the pre-trim word stops unless the trimmed one collapses cleanly
-            if not is_ab_whole(up):
+        if f is None:
+            if len(u) <= 2 or in_special_class(u):
                 break
-            stuck = detect_non_reducible_tails(up)
-            if stuck:
-                rnd.tails.extend(replace(tl, start=tl.start + lo, end=tl.end + lo) for tl in stuck)
-                break
-            f = frame(complete_reduction(up))
+            rnd.tails, lo, hi = tail_reduce(u)
+            # a tail has at least 8 letters and keeps 7, so a bound moves in from its end of u
+            # exactly when that side has a tail
+            rnd.L, rnd.R = u[0] if lo else "", u[-1] if hi < len(u) else ""
+            up = u[lo:hi]
+            try:
+                f = frame(up)
+            except NotUniform:
+                # the pre-trim word stops unless the trimmed one collapses cleanly
+                if not is_ab_whole(up):
+                    break
+                stuck = detect_non_reducible_tails(up)
+                if stuck:
+                    rnd.tails.extend(replace(tl, start=tl.start + lo, end=tl.end + lo) for tl in stuck)
+                    break
+                f = frame(complete_reduction(up))
+            del up
         prev_len = len(u)
         rnd.h, u, rnd.t = f
-        del up, f  # the next round holds only its own words, not this one's
+        del f  # the next round holds only its own words, not this one's
     return PrimarySeries(u, rounds)
 
 

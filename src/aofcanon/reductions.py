@@ -10,9 +10,14 @@ Three layers, matching the structure of the rewriting system:
                      the bounds of the word left once each is trimmed
 
 r1 rebuilds the runs of a letter only when the word holds that letter's
-cube, so a cube-collapsed round word costs two substring searches and no
-copy. The functions past r1 take a cube-collapsed word, as r1 returns it,
-and do not check it again.
+cube, so a cube-collapsed word costs two substring searches and no copy.
+It finds each further cube with one more search, which scans more than
+twice as fast as the substitution, and keeps the run's first two letters.
+A long word can hold a cube every few letters, so it does that for at most
+one cube per `overlap._FLOOR` letters and hands the rest of the word to
+the substitution in one piece. The descent calls r1 only on a round word
+that `frame` finds not uniform. The functions past r1 take a cube-collapsed
+word, as r1 returns it or as a uniform word is, and do not check it again.
 
 In a cube-collapsed word a site is a pair of consecutive doubles of one
 letter, so sites come in maximal runs of same-letter doubles. Inside a run
@@ -31,6 +36,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import overlap
+
 _R1_A = re.compile(r"aaa+")
 _R1_B = re.compile(r"bbb+")
 
@@ -38,12 +45,19 @@ _R1_B = re.compile(r"bbb+")
 def r1(w: str) -> str:
     """Collapse every maximal single-letter run of length 3 or more to 2.
 
-    A letter with no cube costs one substring search and no rebuild.
+    A letter with no cube costs one substring search and no rebuild. Its
+    first len(w) // overlap._FLOOR cubes cost a search each; the
+    substitution takes the rest of the word in one piece.
     """
-    if "aaa" in w:
-        w = _R1_A.sub("aa", w)
-    if "bbb" in w:
-        w = _R1_B.sub("bb", w)
+    runs = len(w) // overlap._FLOOR
+    for c, rx in ("a", _R1_A), ("b", _R1_B):
+        parts, i, k = [], 0, w.find(c * 3)
+        while k >= 0 and len(parts) < runs:
+            parts.append(w[i : k + 2])
+            i = rx.match(w, k).end()
+            k = w.find(c * 3, i)
+        parts.append(rx.sub(c * 2, w[i:]) if k >= 0 else w[i:])
+        w = "".join(parts)  # w itself when it has no cube
     return w
 
 

@@ -14,14 +14,8 @@ from . import overlap
 NEGATE = str.maketrans("ab", "ba")
 
 
-def is_word(w: str) -> bool:
-    """True when w uses only the letters a and b (the empty word counts)."""
-    # isascii first: it reads a flag, and encode() raises on a lone surrogate
-    return w.isascii() and not w.encode().translate(None, b"ab")
-
-
 def check_word(w: str) -> str:
-    if not is_word(w):
+    if not overlap.is_word(w):
         raise WordError(f"not a word over {{a,b}}: {w!r}")
     return w
 

@@ -135,6 +135,12 @@ def r1_slow(w: str) -> str:
     return w
 
 
+def r1_by_runs(w: str) -> str:
+    """Each maximal run of one letter cut to at most 2 letters; linear, for
+    words too long for r1_slow."""
+    return "".join(c * min(2, len(list(run))) for c, run in itertools.groupby(w))
+
+
 def neighbours_slow(w: str, length_bound: int) -> tuple[set[str], bool]:
     """Every square expanded and every cube contracted, one (period, position)
     pair at a time; clipped reports a square whose expansion would exceed the

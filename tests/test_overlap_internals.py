@@ -253,3 +253,16 @@ def test_almost_overlap_free_check_is_lean():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_letter_check_is_lean():
+    # the check encodes 64K letters at a time; encoding and translating the
+    # whole word held 2 MiB on this word
+    w = slow.thue_morse(1 << 20)
+    tracemalloc.start()
+    try:
+        assert words.check_word(w) is w
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18

@@ -117,6 +117,31 @@ def test_final_check_is_the_traced_overlap_scan(monkeypatch):
         assert calls == [(n, True)]
 
 
+def test_uniform_rounds_take_frame_alone(monkeypatch):
+    # a uniform round word has nothing for r1, in_special_class or
+    # tail_reduce to find, so the descent hands it to frame alone
+    calls: dict[str, list[int]] = {}
+    for name in ("r1", "tail_reduce", "in_special_class", "frame"):
+        calls[name] = []
+
+        def counted(w, _orig=getattr(pipeline, name), _log=calls[name]):
+            _log.append(len(w))
+            return _orig(w)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    n = 1 << 16
+    w = slow.thue_morse(n)
+    halves = [n >> k for k in range(15)]
+    assert pipeline.eqaof(w) == w
+    assert calls == {"r1": [2], "tail_reduce": [], "in_special_class": [], "frame": halves}
+    # one planted cube: frame rejects the input, which takes the full round
+    for log in calls.values():
+        log.clear()
+    k = w.find("aa")
+    assert pipeline.eqaof(w[:k] + "a" + w[k:]) == w
+    assert calls == {"r1": [n + 1, 2], "tail_reduce": [n], "in_special_class": [n], "frame": [n + 1] + halves}
+
+
 @given(ab_words)
 @settings(max_examples=300)
 def test_ancestor_halves_each_round(w):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aofcanon import pipeline, reductions, words
+from aofcanon import classes, overlap, pipeline, reductions, words
 from aofcanon.reductions import Tail
 
 import _oracles as slow
@@ -48,10 +48,57 @@ def test_r1_matches_slow_exhaustive():
 _runs = st.lists(st.integers(1, 40), max_size=12)
 
 
+def _from_runs(first: str, lengths: list[int]) -> str:
+    return "".join(("ab" if first == "a" else "ba")[i % 2] * n for i, n in enumerate(lengths))
+
+
 @given(st.sampled_from("ab"), _runs)
 def test_r1_matches_slow_on_runs(first, lengths):
-    w = "".join(("ab" if first == "a" else "ba")[i % 2] * n for i, n in enumerate(lengths))
+    w = _from_runs(first, lengths)
     assert reductions.r1(w) == slow.r1_slow(w)
+
+
+# r1 finds a word's first len(w) // overlap._FLOOR cubes of each letter one
+# by one and substitutes the rest; at floor 8 short words take both paths
+def test_r1_above_a_lowered_floor_exhaustive(monkeypatch):
+    monkeypatch.setattr(overlap, "_FLOOR", 8)
+    for w in slow.words_up_to(16):
+        assert reductions.r1(w) == slow.r1_slow(w), w
+
+
+@given(st.sampled_from("ab"), _runs)
+def test_r1_above_a_lowered_floor_on_runs(first, lengths):
+    w = _from_runs(first, lengths)
+    saved = overlap._FLOOR
+    overlap._FLOOR = 8
+    try:
+        assert reductions.r1(w) == slow.r1_slow(w)
+    finally:
+        overlap._FLOOR = saved
+
+
+_TM = slow.thue_morse(1 << 15)
+
+
+@st.composite
+def _tm_with_runs(draw) -> str:
+    """A Thue-Morse factor of 8,192-16,384 letters with up to 12 letter runs
+    of 3-40 letters planted, at the ends too: fewer and more cubes of a
+    letter than r1 finds one by one (2 to 4 at the real floor)."""
+    n = draw(st.integers(1 << 13, 1 << 14))
+    i = draw(st.integers(0, len(_TM) - n))
+    w = _TM[i : i + n]
+    for _ in range(draw(st.integers(0, 12))):
+        j = draw(st.integers(0, len(w)))
+        w = w[:j] + draw(st.sampled_from("ab")) * draw(st.integers(3, 40)) + w[j:]
+    return w
+
+
+@given(_tm_with_runs())
+@settings(max_examples=60)
+def test_r1_above_the_floor(w):
+    assert len(w) >= 2 * overlap._FLOOR
+    assert reductions.r1(w) == slow.r1_by_runs(w)
 
 
 def test_complete_reduction_example():
@@ -168,6 +215,28 @@ def test_uniform_words_have_nothing_to_collapse():
             assert reductions.is_ab_whole(w), w
             assert reductions.complete_reduction(w) == w, w
             assert reductions.detect_non_reducible_tails(w) == [], w
+            # nor anything for the stages frame alone stands in for
+            assert reductions.r1(w) == w, w
+            assert not classes.in_special_class(w), w
+            assert reductions.tail_reduce(w) == ([], 0, len(w)), w
+
+
+# Thue-Morse factors, and images h + phi(x) + t of any x, which may hold
+# cubes and every tail pattern
+_fringe = st.sampled_from(("", "a", "b"))
+_uniform = st.builds(
+    lambda n, i: _TM[i : i + n], st.integers(17, 400), st.integers(0, 1 << 12)
+) | st.builds(
+    lambda h, x, t: h + words.phi(x) + t, _fringe, st.text(alphabet="ab", min_size=8, max_size=200), _fringe
+)
+
+
+@given(_uniform)
+def test_uniform_long_words_have_nothing_to_collapse(w):
+    assert slow.uniform_slow(w)
+    assert reductions.r1(w) == w
+    assert not classes.in_special_class(w)
+    assert reductions.tail_reduce(w) == ([], 0, len(w))
 
 
 def test_wholeness_negation_symmetry():

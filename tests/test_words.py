@@ -23,7 +23,16 @@ def test_check_word_rejects(bad):
 
 @given(st.text())
 def test_is_word_matches_alphabet_set(w):
-    assert words.is_word(w) == (set(w) <= {"a", "b"})
+    assert overlap.is_word(w) == (set(w) <= {"a", "b"})
+
+
+def test_is_word_reads_every_slice_of_a_long_word():
+    # a word above 64K letters is checked one 64K slice at a time
+    w = "ab" * (3 * 2**15 + 1)
+    assert overlap.is_word(w)
+    for i in (0, 2**16 - 1, 2**16, 2**17 + 1, len(w) - 1):
+        for bad in ("c", "\u00e9", "\udcff"):
+            assert not overlap.is_word(w[:i] + bad + w[i + 1 :]), (i, bad)
 
 
 @pytest.mark.parametrize(
