@@ -11,16 +11,15 @@ group per entry, names the class of a stop word in a single match.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import words
 
 
-@dataclass(frozen=True)
-class ClassPattern:
+class ClassPattern(NamedTuple):
     representative: str
     pattern: str  # star expression for display
-    regex: re.Pattern[str] = field(compare=False)
+    regex: re.Pattern[str]
 
     def accepts(self, w: str) -> bool:
         return self.regex.fullmatch(w) is not None

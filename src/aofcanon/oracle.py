@@ -13,8 +13,8 @@ one deletes, p letters that continue the run. So one word is built per run.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import overlap, words
 
@@ -43,8 +43,7 @@ def _neighbours(w: str, length_bound: int) -> tuple[set[str], bool]:
     return out, clipped
 
 
-@dataclass(frozen=True, slots=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     seed: str
     members: tuple[str, ...]  # sorted by (length, lexicographic)
     exhausted: bool

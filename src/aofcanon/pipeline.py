@@ -5,11 +5,11 @@ uniformity, and splits a uniform word into its fringe and its pre-image
 under the morphism in one call. A uniform word holds no letter cube, is not
 in the special class and has no non-uniform tail, so that call is its whole
 round. A word `frame` rejects is cube-collapsed, its non-uniform tails are
-trimmed, and `frame` runs on what is left; if that is still not uniform, it
-is collapsed completely once every site is found protected. Each round
-leaves one `Round` on the tape: its tail reports, the boundary letters
-trimming dropped and the fringe letters `frame` split off. The descent
-stops on a short word, an exceptional class, or a site unsafe to collapse.
+trimmed, and `frame` runs again if that made it shorter; a word still not
+uniform is collapsed completely once every site is found protected. Each
+round leaves one `Round` on the tape: its tail reports, the boundary letters
+trimming dropped and the fringe letters `frame` split off. The descent stops
+on a short word, an exceptional class, or a site unsafe to collapse.
 
 The rebuild runs the same tape backwards from a replacement stop word,
 re-wrapping fringes and boundary letters and collapsing a letter-for-letter
@@ -23,8 +23,8 @@ line per `Round`, and stages, so the two cannot drift apart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from . import words
 from .classes import in_special_class, match_S
@@ -40,7 +40,6 @@ from .reductions import (
 )
 
 
-@dataclass(slots=True)
 class Round:
     """One descent round, filled in as it runs; word is kept only when tracing.
 
@@ -50,16 +49,15 @@ class Round:
     fringe letters `frame` splits off.
     """
 
-    word: str | None
-    tails: list[Tail]
-    L: str = ""
-    R: str = ""
-    h: str = ""
-    t: str = ""
+    __slots__ = ("word", "tails", "L", "R", "h", "t")
+
+    def __init__(self, word: str | None) -> None:
+        self.word = word
+        self.tails: list[Tail] = []
+        self.L = self.R = self.h = self.t = ""
 
 
-@dataclass(frozen=True, slots=True)
-class PrimarySeries:
+class PrimarySeries(NamedTuple):
     """Record of one descent: its stop word and one Round per round, which the
     rebuild reads back in reverse, all but the final one."""
 
@@ -69,6 +67,13 @@ class PrimarySeries:
     @property
     def ell(self) -> int:
         return len(self.rounds)
+
+
+def _frame(u: str) -> tuple[str, str, str] | None:
+    try:
+        return frame(u)
+    except NotUniform:
+        return None
 
 
 def ancestor(u: str, trace: bool = False) -> PrimarySeries:
@@ -82,15 +87,12 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
         # word and every non-uniform tail holds one of those four, so r1,
         # in_special_class and tail_reduce would pass a uniform word through
         # unchanged, and frame alone makes its round.
-        try:
-            f = frame(u) if len(u) > 2 else None
-        except NotUniform:
-            f = None
+        f = _frame(u) if len(u) > 2 else None
         if f is None:
-            u = r1(u)
+            n, u = len(u), r1(u)
         if prev_len is not None and 2 * len(u) > prev_len:
             raise RuntimeError(f"round word of length {len(u)} is over half of {prev_len}")
-        rnd = Round(u if trace else None, [])
+        rnd = Round(u if trace else None)
         rounds.append(rnd)
         if f is None:
             if len(u) <= 2 or in_special_class(u):
@@ -100,15 +102,15 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
             # exactly when that side has a tail
             rnd.L, rnd.R = u[0] if lo else "", u[-1] if hi < len(u) else ""
             up = u[lo:hi]
-            try:
-                f = frame(up)
-            except NotUniform:
+            # r1 and trimming only shorten, so at n letters up is the word frame just rejected
+            f = _frame(up) if len(up) < n else None
+            if f is None:
                 # the pre-trim word stops unless the trimmed one collapses cleanly
                 if not is_ab_whole(up):
                     break
                 stuck = detect_non_reducible_tails(up)
                 if stuck:
-                    rnd.tails.extend(replace(tl, start=tl.start + lo, end=tl.end + lo) for tl in stuck)
+                    rnd.tails.extend(tl._replace(start=tl.start + lo, end=tl.end + lo) for tl in stuck)
                     break
                 f = frame(complete_reduction(up))
             del up

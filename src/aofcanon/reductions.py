@@ -34,7 +34,7 @@ Spans in reports are 1-indexed and inclusive.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import overlap
 
@@ -115,8 +115,7 @@ def complete_reduction(w: str) -> str:
     return _RUN_B.sub("bb", _RUN_A.sub("aa", r1(w)))
 
 
-@dataclass(frozen=True, slots=True)
-class Tail:
+class Tail(NamedTuple):
     """One boundary pattern occurrence; span is 1-indexed inclusive."""
 
     side: str  # "left" | "right"

@@ -1,8 +1,6 @@
 """Command-line surface: outputs, exit codes, batch mode."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from click.testing import CliRunner
 
@@ -205,7 +203,7 @@ def test_explain_tails_field_on_all_short_words(runner):
             up = u[lo:hi]
             if not is_uniform(up) and is_ab_whole(up) and (stuck := detect_non_reducible_tails(up)):
                 assert len(rounds) == 1, w
-                want += [replace(t, start=t.start + lo, end=t.end + lo) for t in stuck]
+                want += [t._replace(start=t.start + lo, end=t.end + lo) for t in stuck]
         got = rounds[0]["tails"]
         assert got == (",".join(
             f"{t.side}:{t.letter_class}:{t.family}:{t.start}..{t.end}" for t in want

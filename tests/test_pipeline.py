@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from aofcanon import classes, cli, overlap, pipeline, words
 from aofcanon.classes import pattern_table
 from aofcanon.errors import EmptyInput, WordError
-from aofcanon.oracle import OracleAnswer, oracle_equiv
+from aofcanon.oracle import OracleAnswer, closure, oracle_equiv
 from aofcanon.pipeline import Verdict
 from aofcanon.reductions import Tail
 
@@ -43,6 +43,27 @@ def test_ancestor_without_trace_has_no_series():
     assert [(r.tails, r.L, r.R, r.h, r.t) for r in s.rounds] == [
         (r.tails, r.L, r.R, r.h, r.t) for r in traced.rounds
     ]
+
+
+def test_records_are_frozen_and_round_is_slotted():
+    s = pipeline.ancestor("aabaabbabb")
+    tail = s.rounds[0].tails[1]
+    records = [tail, s, closure("ab", 4), pattern_table()[0]]
+    for rec in records:
+        with pytest.raises(AttributeError):
+            rec.seen = 1
+        with pytest.raises(AttributeError):
+            setattr(rec, type(rec)._fields[0], None)
+    rnd = s.rounds[0]
+    for slot in ("word", "tails", "L", "R", "h", "t"):
+        setattr(rnd, slot, getattr(rnd, slot))
+    with pytest.raises(AttributeError):
+        rnd.seen = 1
+    # the span shift the descent applies to a stuck tail past the left trim
+    lo = 3
+    moved = tail._replace(start=tail.start + lo, end=tail.end + lo)
+    assert moved == Tail("right", "B", "nonuniform", 6, 13)
+    assert tail == Tail("right", "B", "nonuniform", 3, 10)
 
 
 def test_ancestor_short_words():
@@ -140,6 +161,22 @@ def test_uniform_rounds_take_frame_alone(monkeypatch):
     k = w.find("aa")
     assert pipeline.eqaof(w[:k] + "a" + w[k:]) == w
     assert calls == {"r1": [n + 1, 2], "tail_reduce": [n], "in_special_class": [n], "frame": [n + 1] + halves}
+
+
+def test_no_round_frames_a_word_twice(monkeypatch):
+    # r1 and trimming only shorten a rejected word, so a round that left it
+    # whole must not hand the same word to frame again
+    framed: list[str] = []
+
+    def logged(u, _orig=pipeline.frame):
+        framed.append(u)
+        return _orig(u)
+
+    monkeypatch.setattr(pipeline, "frame", logged)
+    for w in slow.words_up_to(14):
+        framed.clear()
+        pipeline.ancestor(w)
+        assert len(framed) == len(set(framed)), (w, framed)
 
 
 @given(ab_words)

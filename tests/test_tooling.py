@@ -3,11 +3,12 @@
 The benchmark's traced run names layer functions that must keep existing
 and that the descent must reach by those names, the slow references must
 stay independent of the package they check, the package's modules must
-import each other without cycles, the package's invariants must raise
-rather than assert, the CLI must run no pipeline stage of its own, the
-descent must leave the morphism pull-back to `frame`, the package root must
-export only its checked entry points, and the README's command table must
-list the commands the CLI has and its examples must run as shown.
+import each other without cycles, importing the package must load none of
+the standard library's code-inspection modules, the package's invariants
+must raise rather than assert, the CLI must run no pipeline stage of its
+own, the descent must leave the morphism pull-back to `frame`, the package
+root must export only its checked entry points, and the README's command
+table must list the commands the CLI has and its examples must run as shown.
 """
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ import ast
 import doctest
 import importlib
 import re
+import os
 import shlex
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -135,6 +138,18 @@ def test_package_imports_are_acyclic():
 
     for mod in sorted(modules):
         visit(mod, ())
+
+
+def test_import_loads_no_code_inspection_modules():
+    # records are plain tuples and slotted classes: nothing generated, so
+    # importing the package pulls in neither dataclasses nor what it needs
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    code = f"import aofcanon, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]", out
 
 
 def test_no_assert_in_package():
