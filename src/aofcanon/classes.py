@@ -19,10 +19,10 @@ from . import words
 class ClassPattern(NamedTuple):
     representative: str
     pattern: str  # star expression for display
-    regex: re.Pattern[str]
+    regex: str  # source for the cube-collapsed members; accepts compiles it via re's cache
 
     def accepts(self, w: str) -> bool:
-        return self.regex.fullmatch(w) is not None
+        return re.fullmatch(self.regex, w) is not None
 
 
 # (representative, display pattern, regex source). The negated entries
@@ -59,14 +59,14 @@ _SINGLETONS = [(s, s, s) for s in ("a", "b", "aa", "bb", "ab", "ba")]
 
 _ENTRIES = (
     _A_FAMILY
-    + [tuple(part.translate(words.NEGATE) for part in e) for e in _A_FAMILY]
+    + [tuple(map(words.negate, e)) for e in _A_FAMILY]
     + _THREE_BLOCK
     + _SINGLETONS
 )
 
-_TABLE = tuple(ClassPattern(rep, expr, re.compile(rx)) for rep, expr, rx in _ENTRIES)
+_TABLE = tuple(ClassPattern(*e) for e in _ENTRIES)
 _ANY = re.compile("|".join(f"({rx})" for _, _, rx in _ENTRIES))
-_SPECIAL = re.compile(f"{_TABLE[8].regex.pattern}|{_TABLE[17].regex.pattern}")
+_SPECIAL = re.compile(f"{_TABLE[8].regex}|{_TABLE[17].regex}")
 
 
 def pattern_table() -> tuple[ClassPattern, ...]:

@@ -24,7 +24,7 @@ import click
 from . import classes as classes_mod
 from . import oracle as oracle_mod
 from . import __version__, pipeline, reductions, words
-from .errors import NotR1Reduced, WordError
+from .errors import WordError
 
 click.UsageError.exit_code = 64
 
@@ -72,7 +72,7 @@ def main() -> None:
 def _check_r1(w: str) -> str:
     """The input check of check ab-whole, whose site scan assumes no letter cube."""
     if "aaa" in w or "bbb" in w:
-        raise NotR1Reduced(f"letter cube present: {w[:32]!r}")
+        raise WordError(f"letter cube present: {w[:32]!r}")
     return w
 
 

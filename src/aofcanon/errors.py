@@ -7,15 +7,3 @@ class WordError(ValueError):
 
 class EmptyInput(WordError):
     """An operation that needs a nonempty word was given the empty word."""
-
-
-class NotPhiImage(WordError):
-    """phi_inverse was applied to a word that is not a morphism image."""
-
-
-class NotUniform(WordError):
-    """A frame operation was applied to a non-uniform word."""
-
-
-class NotR1Reduced(WordError):
-    """The CLI's check ab-whole refusal of a word that is not cube-collapsed."""

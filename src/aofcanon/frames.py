@@ -5,18 +5,18 @@ empty or single letters. The split is forced: words._core_offset gives the
 offset of U's block pairs, which is |h|, and |t| mops up the length parity.
 X is then every other letter of U between the fringes, read straight off
 U, so `h + phi(X) + t` rebuilds U, and a descent round splits and pulls
-back in one call.
+back in one call. A word that is not uniform has no such split, and `frame`
+answers None for it.
 """
 from __future__ import annotations
 
 from . import words
-from .errors import NotUniform
 
 
-def frame(u: str) -> tuple[str, str, str]:
-    """Split a uniform word u into (h, x, t) with u == h + phi(x) + t."""
+def frame(u: str) -> tuple[str, str, str] | None:
+    """Split u into (h, x, t) with u == h + phi(x) + t, or None when u is not uniform."""
     lc = words._core_offset(u)
     if lc is None:
-        raise NotUniform(f"not uniform: {u[:32]!r}")
+        return None
     ld = (len(u) - lc) % 2
     return u[:lc], u[lc : len(u) - ld : 2], u[len(u) - ld :]

@@ -53,7 +53,7 @@ from .errors import WordError
 
 # a -> 0, b -> 1; every other byte -> x, which int(..., 2) rejects
 _BITS = b"x" * 97 + b"01" + b"x" * 157
-_NEGATE = str.maketrans("ab", "ba")  # words.NEGATE; words imports this module
+NEGATE = str.maketrans("ab", "ba")  # exchanges a and b; words.negate uses it too
 # words up to this length are scanned, longer ones desubstituted first; at least 8
 _FLOOR = 4096
 
@@ -150,7 +150,7 @@ def _desubstitute(w: str, n: int) -> bool:
                 if 0 <= s < n - 2 * p and w.startswith(w[s + p : s + 2 * p + 1], s):
                     return True
         u = w[lx : n - ly : 2]
-        if u.translate(_NEGATE) != w[lx + 1 : n - ly : 2]:
+        if u.translate(NEGATE) != w[lx + 1 : n - ly : 2]:
             return True  # the core is not phi(u)
         w, n = u, len(u)
     return _has_run(w[:n], ((p, p + 1) for p in _square_periods((n - 1) // 2)))

@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 from . import words
 from .classes import in_special_class, match_S
-from .errors import NotUniform
 from .frames import frame
 from .reductions import (
     Tail,
@@ -69,29 +68,19 @@ class PrimarySeries(NamedTuple):
         return len(self.rounds)
 
 
-def _frame(u: str) -> tuple[str, str, str] | None:
-    try:
-        return frame(u)
-    except NotUniform:
-        return None
-
-
 def ancestor(u: str, trace: bool = False) -> PrimarySeries:
     """Run the descent to its stop word."""
     words._check_nonempty(u)
     rounds: list[Round] = []
-    prev_len = None
     while True:
         # A uniform word holds no letter cube, and no aabaab, bbabba or their
         # reversals: each has doubles at both parities. Every special-class
         # word and every non-uniform tail holds one of those four, so r1,
         # in_special_class and tail_reduce would pass a uniform word through
         # unchanged, and frame alone makes its round.
-        f = _frame(u) if len(u) > 2 else None
+        f = frame(u) if len(u) > 2 else None
         if f is None:
             n, u = len(u), r1(u)
-        if prev_len is not None and 2 * len(u) > prev_len:
-            raise RuntimeError(f"round word of length {len(u)} is over half of {prev_len}")
         rnd = Round(u if trace else None)
         rounds.append(rnd)
         if f is None:
@@ -103,7 +92,7 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
             rnd.L, rnd.R = u[0] if lo else "", u[-1] if hi < len(u) else ""
             up = u[lo:hi]
             # r1 and trimming only shorten, so at n letters up is the word frame just rejected
-            f = _frame(up) if len(up) < n else None
+            f = frame(up) if len(up) < n else None
             if f is None:
                 # the pre-trim word stops unless the trimmed one collapses cleanly
                 if not is_ab_whole(up):
@@ -113,10 +102,13 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
                     rnd.tails.extend(tl._replace(start=tl.start + lo, end=tl.end + lo) for tl in stuck)
                     break
                 f = frame(complete_reduction(up))
+                if f is None:
+                    raise RuntimeError(f"complete_reduction left a non-uniform word from {up[:32]!r}")
             del up
-        prev_len = len(u)
-        rnd.h, u, rnd.t = f
-        del f  # the next round holds only its own words, not this one's
+        rnd.h, x, rnd.t = f
+        if 2 * len(x) > len(u):
+            raise RuntimeError(f"pre-image of length {len(x)} is over half of {len(u)}")
+        u = x
     return PrimarySeries(u, rounds)
 
 

@@ -8,15 +8,13 @@ the check to their caller, apart from the entry points `ancestor` and
 """
 from __future__ import annotations
 
-from .errors import EmptyInput, NotPhiImage, WordError
+from .errors import EmptyInput, WordError
 from . import overlap
-
-NEGATE = str.maketrans("ab", "ba")
 
 
 def check_word(w: str) -> str:
     if not overlap.is_word(w):
-        raise WordError(f"not a word over {{a,b}}: {w!r}")
+        raise WordError(f"not a word over {{a,b}}: {w[:32]!r}")
     return w
 
 
@@ -29,7 +27,7 @@ def _check_nonempty(w: str) -> str:
 
 def negate(w: str) -> str:
     """Exchange a and b throughout."""
-    return w.translate(NEGATE)
+    return w.translate(overlap.NEGATE)
 
 
 def phi(w: str) -> str:
@@ -65,9 +63,9 @@ def is_phi_image(w: str) -> bool:
 
 
 def phi_inverse(w: str) -> str:
-    """Unique preimage under phi. Raises NotPhiImage when none exists."""
+    """Unique preimage under phi. Raises WordError when none exists."""
     if not is_phi_image(w):
-        raise NotPhiImage(f"not a morphism image: {w[:32]!r}...")
+        raise WordError(f"not a morphism image: {w[:32]!r}...")
     return w[0::2]
 
 

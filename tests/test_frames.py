@@ -1,12 +1,10 @@
 """Fringe splitting of uniform words."""
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aofcanon import frames, reductions, words
-from aofcanon.errors import NotUniform
 
 import _oracles as slow
 
@@ -30,23 +28,20 @@ def test_frame_empty_and_tiny():
 
 
 def test_frame_rejects_non_uniform():
-    with pytest.raises(NotUniform):
-        frames.frame("aabaabb")
+    assert frames.frame("aabaabb") is None
 
 
 def test_frame_core_check_survives_optimisation(monkeypatch):
-    # the block-pair offset is the uniformity check: an explicit raise, not
+    # the block-pair offset is the uniformity check: an explicit answer, not
     # an assert, so it also holds under python -O
     monkeypatch.setattr(words, "_core_offset", lambda w: None)
-    with pytest.raises(NotUniform, match="'abba'"):
-        frames.frame("abba")
+    assert frames.frame("abba") is None
 
 
 def test_frame_matches_slow_exhaustive():
     for w in slow.words_up_to(16, min_len=0):
         if not slow.uniform_slow(w):
-            with pytest.raises(NotUniform):
-                frames.frame(w)
+            assert frames.frame(w) is None, w
             continue
         h, x, t = frames.frame(w)
         assert h + words.phi(x) + t == w, w

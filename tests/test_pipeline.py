@@ -100,6 +100,31 @@ def test_ancestor_halving_check_survives_optimisation(monkeypatch):
         pipeline.ancestor(slow.thue_morse(32))
 
 
+def test_non_uniform_reduction_is_a_fault_not_bad_input(monkeypatch):
+    # a completely reduced word is uniform by the descent's own invariant, so
+    # a reduction that breaks it is a RuntimeError, which the CLI does not
+    # report as bad input
+    monkeypatch.setattr(pipeline, "complete_reduction", lambda w: w)
+    with pytest.raises(RuntimeError, match="non-uniform") as info:
+        pipeline.eqaof("abaabaaba")
+    assert not isinstance(info.value, WordError)
+
+
+def test_bad_word_messages_stay_short():
+    # a rejected word is quoted up to 32 letters, so a long one does not
+    # flood the message, or the CLI's stderr that echoes it
+    bad = "ab" * 50000 + "c"
+    for call in (
+        words.check_word,
+        pipeline.eqaof,
+        lambda w: pipeline.decide_equiv(w, "ab"),
+        lambda w: closure(w, len(w)),
+    ):
+        with pytest.raises(WordError) as info:
+            call(bad)
+        assert len(str(info.value)) < 100, str(info.value)[:200]
+
+
 def test_descent_validates_its_words_once(monkeypatch):
     # every round word comes out of r1, so the descent re-checks none of
     # them and never reaches the CLI's cube check: ancestor checks its input

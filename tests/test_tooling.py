@@ -190,6 +190,20 @@ def test_pipeline_leaves_the_pull_back_to_frame():
     assert stepped == [], stepped
 
 
+def test_exceptions_mean_bad_input():
+    # a stage answers no with None, and the descent raises RuntimeError where
+    # one of its invariants breaks, so the package's own exception types are
+    # the bad-input ones alone and the pipeline catches nothing
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    assert [n.name for n in errors.body if isinstance(n, ast.ClassDef)] == ["WordError", "EmptyInput"]
+    tries = [
+        node.lineno
+        for node in ast.walk(ast.parse((PACKAGE / "pipeline.py").read_text()))
+        if isinstance(node, ast.Try)
+    ]
+    assert tries == [], tries
+
+
 def test_package_root_is_the_checked_surface():
     # the root exports the names the README documents and nothing else; each
     # of its word-taking functions checks its words, which the stage
@@ -269,12 +283,12 @@ def test_one_home_per_input_check():
     assert len(raises) == 1, raises
     # the stage functions trust that their word is cube-collapsed: the one
     # cube check is the CLI's input check for check ab-whole
-    homes = {"_check_r1": set(), "NotR1Reduced": set()}
+    homes = {"_check_r1": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             for name in homes.keys() & _names(node):
                 homes[name].add(path.name)
-    assert homes == {"_check_r1": {"cli.py"}, "NotR1Reduced": {"cli.py", "errors.py"}}
+    assert homes == {"_check_r1": {"cli.py"}}
     # the descent calls each stage by its public, traced name, so no
     # private twin of a stage can come back
     private = [
