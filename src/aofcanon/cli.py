@@ -10,9 +10,11 @@ output line (a multi-line report joins its lines with "; ").
 Exit codes: 0 success, 1 negative result (false / FALSE / NOT_EQUIVALENT),
 2 UNKNOWN from equiv, 64 misuse of the command line, 65 bad input: an
 invalid or empty word, a word that is not cube-collapsed given to check
-ab-whole, or a batch line with the wrong number of words. In batch mode the
-per-line result codes collapse to 0; a line that would exit 65 still aborts
-the stream with 65, after the output of the lines before it.
+ab-whole, or a batch line with the wrong number of words, 70 an internal
+fault: a broken invariant of the descent, reported on one stderr line. In
+batch mode the per-line result codes collapse to 0; a line that would exit
+65 or 70 still aborts the stream with that code, after the output of the
+lines before it.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ click.UsageError.exit_code = 64
 
 
 class _Main(click.Group):
-    """The command group; bad input from any command exits 65."""
+    """The command group; bad input from any command exits 65, an internal fault 70."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -38,6 +40,11 @@ class _Main(click.Group):
         except WordError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(65)
+        except (click.exceptions.Exit, click.Abort):  # click's own RuntimeErrors
+            raise
+        except RuntimeError as exc:
+            click.echo(f"internal error: {exc}", err=True)
+            sys.exit(70)
 
 
 _PER_LINE = ("one word", "two words")

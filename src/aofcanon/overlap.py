@@ -12,7 +12,7 @@ square is overlap-free, because an overlap inside it would be a shorter
 overlap factor of the word. So p is 2^k or 3*2^k, and a word has an overlap
 exactly when it has one of such a period. A word of length n has an
 overlapping proper factor (2p+1 <= n-1) exactly when its shortest overlap is
-one. `brute_has_overlap` tests every period and is the reference.
+one. The tests' reference scans every period.
 
 Second, every overlap-free binary word of 7 letters or more is x phi(u) y,
 with x and y in {'', a, b, aa, bb} and u overlap-free (Restivo-Salemi 1985),
@@ -26,14 +26,15 @@ with a double, which no block ab or ba is. The parity of |y| follows from
 w[2:7] with no double is ababa or babab, an overlap. If the core between the
 fringes is not a phi-image, w has an overlap; if u = core[::2] has one, so
 has w. Otherwise every overlap of w holds a fringe letter, so w's shortest
-one starts in x or ends in y: one comparison per fringe letter and period.
-The next round reads u, half as long, so the test is O(n). It needs more
-than 8 letters, for w[2:7] to sit inside the core, and costs tens of
-microseconds of Python per round, which loses to the scan below on words of
-up to a few thousand letters; `_FLOOR` is set at 4096, and below it, and at
-the end of the rounds, the scan runs. A word's proper factors are tested in
-the same pass: first w[:-1], then only the suffixes of w that could hold an
-overlap of w[1:] that w[:-1] lacks.
+one starts in x or ends in y: one comparison per fringe letter and period
+(`fringe_overlap`; `pipeline.normalize` runs it on each round word it
+builds as x phi(u) y). The next round reads u, half as long, so the test is
+O(n). It needs more than 8 letters, for w[2:7] to sit inside the core, and
+costs tens of microseconds of Python per round, which loses to the scan
+below on words of up to a few thousand letters; `_FLOOR` is set at 4096,
+and below it, and at the end of the rounds, the scan runs. A word's proper
+factors are tested in the same pass: first w[:-1], then only the suffixes
+of w that could hold an overlap of w[1:] that w[:-1] lacks.
 
 The scan tests each period at C speed. Read the word as an integer with one
 bit per letter, the last letter lowest, under a leading sentinel 1. Below
@@ -43,7 +44,7 @@ a run of `need` set bits, found with about log2(need) shift-and steps; over
 the about 2*log2(n) periods 2^k and 3*2^k the cost is O(n log^2 n / word
 size). The encoding (`_as_int`) and the per-period mask (`_run_mask`) are
 shared: `oracle` reads its squares and cubes off the same masks, and
-`has_cube` and `brute_has_overlap` scan every period with them.
+`has_cube` and the tests' reference scan every period with them.
 """
 from __future__ import annotations
 
@@ -111,11 +112,6 @@ def _square_periods(top: int) -> Iterable[int]:
         p *= 2
 
 
-def brute_has_overlap(s: str) -> bool:
-    """Every period, whole word. Quadratic; the reference for has_overlap."""
-    return _has_run(s, ((p, p + 1) for p in range(1, (len(s) - 1) // 2 + 1)))
-
-
 def has_overlap(s: str, proper: bool = False) -> bool:
     """Some factor of length 2p+1 with period p; a proper factor of s when proper."""
     n = len(s)
@@ -129,9 +125,17 @@ def has_overlap(s: str, proper: bool = False) -> bool:
     if _desubstitute(s, hi):
         return True
     # s[:-1] is overlap-free, so a shortest overlap of s[1:] is a suffix of s
-    return proper and any(
-        s.startswith(s[n - p - 1 :], n - 2 * p - 1) for p in _square_periods((n - 2) // 2)
-    )
+    return proper and fringe_overlap(s, n, 0, 1, (n - 2) // 2)
+
+
+def fringe_overlap(w: str, n: int, lx: int, ly: int, top: int) -> bool:
+    """Some factor of w[:n] with a period p = 2^k or 3*2^k up to top and
+    length 2p+1 that starts in the first lx letters or ends in the last ly."""
+    for p in _square_periods(top):
+        for s in (*range(lx), *range(n - ly - 2 * p, n - 2 * p)):
+            if 0 <= s < n - 2 * p and w.startswith(w[s + p : s + 2 * p + 1], s):
+                return True
+    return False
 
 
 def _desubstitute(w: str, n: int) -> bool:
@@ -144,11 +148,8 @@ def _desubstitute(w: str, n: int) -> bool:
                 return True  # w[2:7] is ababa or babab
         lx = 1 if d % 2 == 0 else 2 if w[0] == w[1] else 0
         ly = 1 if (n - lx) % 2 else 2 if w[n - 2] == w[n - 1] else 0
-        for p in _square_periods((n - 1) // 2):
-            # the factors of length 2p+1 that start in x or end in y
-            for s in (*range(lx), *range(n - ly - 2 * p, n - 2 * p)):
-                if 0 <= s < n - 2 * p and w.startswith(w[s + p : s + 2 * p + 1], s):
-                    return True
+        if fringe_overlap(w, n, lx, ly, (n - 1) // 2):
+            return True
         u = w[lx : n - ly : 2]
         if u.translate(NEGATE) != w[lx + 1 : n - ly : 2]:
             return True  # the core is not phi(u)

@@ -12,10 +12,14 @@ trimming dropped and the fringe letters `frame` split off. The descent stops
 on a short word, an exceptional class, or a site unsafe to collapse.
 
 The rebuild runs the same tape backwards from a replacement stop word,
-re-wrapping fringes and boundary letters and collapsing a letter-for-letter
-cube YYY to YY once per round if one appears. When the stop word is swapped
-for its class representative, the rebuilt word is the unique almost
-overlap-free member of the input's class, when one exists.
+and from the stop word's class representative it builds the class's unique
+almost overlap-free member, if there is one. Each round word is x phi(u) y,
+with x = L+h, y = t+R and u the round below, unless a letter-for-letter
+cube YYY appeared and was collapsed to YY. So it has an overlap exactly
+when u has one or one meets x or y (the `overlap` note), and the rebuild
+tests the fringes as it goes, down to one word left to read whole: the
+highest round word of at most `overlap._FLOOR` letters, or the highest
+that collapsed a cube.
 
 `_form` is that whole path in one call. `eqaof` returns its rebuilt word
 when the final check passes, and the CLI's `explain` prints its rounds, one
@@ -26,7 +30,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from . import words
+from . import overlap, words
 from .classes import in_special_class, match_S
 from .frames import frame
 from .reductions import (
@@ -112,18 +116,27 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
     return PrimarySeries(u, rounds)
 
 
-def normalize(w: str, series: PrimarySeries) -> str:
-    """Rebuild through a recorded descent, starting from stop word w."""
-    words._check_nonempty(w)
+def normalize(w: str, series: PrimarySeries) -> tuple[str, str | None]:
+    """Rebuild through a recorded descent, starting from stop word w; also
+    the round word to read whole, or None once a fringe above it holds an overlap."""
+    base = words._check_nonempty(w)
     for rnd in reversed(series.rounds[:-1]):
         w = rnd.h + words.phi(w) + rnd.t
         n = len(w)
-        if n % 3 == 0:
-            third = n // 3
-            if w[: 2 * third] == w[third:]:
-                w = w[: 2 * third]
-        w = rnd.L + w + rnd.R
-    return w
+        # YYY, tested against its last third alone
+        cube = n % 3 == 0 and w.startswith(y := w[2 * n // 3 :]) and w.startswith(y, n // 3)
+        w = rnd.L + (w[: 2 * n // 3] if cube else w) + rnd.R
+        n = len(w)
+        # a collapsed word is not x phi(u) y, so its fringes say nothing of
+        # the rounds below; on the top round only proper factors count, and
+        # an overlap of u below is a proper factor of phi(u)
+        if cube or n <= overlap._FLOOR:
+            base = w
+        elif base is not None and overlap.fringe_overlap(
+            w, n, len(rnd.L + rnd.h), len(rnd.t + rnd.R), (n - 1 - (rnd is series.rounds[0])) // 2
+        ):
+            base = None
+    return w, base
 
 
 def _form(u: str, trace: bool = False) -> tuple[PrimarySeries, str | None, str | None, bool]:
@@ -132,8 +145,10 @@ def _form(u: str, trace: bool = False) -> tuple[PrimarySeries, str | None, str |
     rep = match_S(series.anc)
     if rep is None:
         return series, None, None, False
-    v = normalize(rep, series)
-    return series, rep, v, words.is_almost_overlap_free(v)
+    v, base = normalize(rep, series)
+    if base is v:  # v is read whole, and only its proper factors count
+        return series, rep, v, words.is_almost_overlap_free(v)
+    return series, rep, v, base is not None and words.is_overlap_free(base)
 
 
 def eqaof(u: str) -> str | None:

@@ -30,14 +30,13 @@ def negate(w: str) -> str:
     return w.translate(overlap.NEGATE)
 
 
+# a -> byte 0xab, b -> byte 0xba, whose hex digits are the letters' images
+_PHI = bytes.maketrans(b"ab", b"\xab\xba")
+
+
 def phi(w: str) -> str:
     """Thue-Morse morphism: a -> ab, b -> ba."""
-    n = len(w)
-    out = bytearray(2 * n)
-    b = w.encode()
-    out[0::2] = b
-    out[1::2] = negate(w).encode()
-    return out.decode()
+    return w.encode().translate(_PHI).hex()
 
 
 def _core_offset(w: str) -> int | None:
@@ -97,8 +96,6 @@ def is_overlap_free(w: str) -> bool:
 def is_almost_overlap_free(w: str) -> bool:
     """Every proper factor is overlap-free; w itself may be an overlap (aaa).
 
-    One `overlap.has_overlap` call in linear time: a long word is
-    desubstituted round by round, and its proper factors are tested in the
-    same pass (the `overlap` module note).
+    One linear-time `overlap.has_overlap` call (the `overlap` module note).
     """
     return not overlap.has_overlap(w, proper=True)

@@ -217,6 +217,22 @@ def test_eqaof_exit_codes(runner):
     assert res.exit_code == 0 and res.output == "aabbaabb\n"
 
 
+@pytest.mark.parametrize("cmd", ["eqaof", "explain"])
+def test_internal_fault_is_not_a_negative_answer(runner, monkeypatch, cmd):
+    # a broken descent invariant raises RuntimeError; the CLI reports it on
+    # one stderr line with exit 70, which no answer uses, in single-word and
+    # batch mode alike, and batch output before the fault stays
+    monkeypatch.setattr(aofcanon.pipeline, "complete_reduction", lambda w: w)
+    fault = "internal error: complete_reduction left a non-uniform word from 'abaabaaba'\n"
+    res = run(runner, cmd, "abaabaaba")
+    assert (res.exit_code, res.stdout, res.stderr) == (70, "", fault)
+    first = run(runner, cmd, "abab").stdout.rstrip("\n").replace("\n", "; ") + "\n"
+    res = run(runner, cmd, input="abab\nabaabaaba\nabab\n")
+    assert (res.exit_code, res.stdout, res.stderr) == (70, first, fault)
+    # click's own exits are RuntimeErrors too, and keep their codes
+    assert run(runner, cmd, "--help").exit_code == 0
+
+
 def test_eqaof_batch(runner):
     res = run(runner, "eqaof", input="bababb\nabab\n")
     assert res.exit_code == 0

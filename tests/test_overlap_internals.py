@@ -24,9 +24,15 @@ from aofcanon import overlap, words
 import _oracles as slow
 
 
+def brute_has_overlap(s: str) -> bool:
+    """Every period, whole word, on the detector's own bit scan. Quadratic;
+    the reference for the periods and rounds has_overlap tests."""
+    return overlap._has_run(s, ((p, p + 1) for p in range(1, (len(s) - 1) // 2 + 1)))
+
+
 def test_quadratic_agrees_with_slow():
     for w in slow.words_up_to(13):
-        assert overlap.brute_has_overlap(w) == slow.has_overlap_slow(w), w
+        assert brute_has_overlap(w) == slow.has_overlap_slow(w), w
 
 
 def test_has_cube_agrees_with_slow():
@@ -97,7 +103,7 @@ def test_mirror_alternation_regression():
         "aababba"
     )
     assert len(w) == 127
-    assert not overlap.brute_has_overlap(w)
+    assert not brute_has_overlap(w)
     assert not overlap.has_overlap(w)
 
 
@@ -105,14 +111,14 @@ def test_fast_matches_quadratic_on_adversarial_families():
     rng = random.Random(0x5EED)
     checked = 0
     for w in _families(rng):
-        assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
+        assert overlap.has_overlap(w) == brute_has_overlap(w), w
         checked += 1
     assert checked > 400
 
 
 def test_fast_matches_quadratic_exhaustive():
     for w in slow.words_up_to(16, min_len=0):
-        assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
+        assert overlap.has_overlap(w) == brute_has_overlap(w), w
 
 
 def test_proper_factors_only():
@@ -137,7 +143,7 @@ def test_fast_matches_quadratic_on_thue_morse_flips():
             base = slow.thue_morse(n)
             for i in range(n):
                 w = _mutate(base, [i])
-                assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
+                assert overlap.has_overlap(w) == brute_has_overlap(w), w
 
 
 def test_overlaps_planted_at_the_ends():
@@ -149,7 +155,7 @@ def test_overlaps_planted_at_the_ends():
         y = base[100 : 100 + p]
         for planted in (y + y + y[0], y + y + words.negate(y[0])):
             for w in (planted + base[len(planted) :], base[: n - len(planted)] + planted):
-                assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), (p, w[:90], w[-90:])
+                assert overlap.has_overlap(w) == brute_has_overlap(w), (p, w[:90], w[-90:])
         assert overlap.has_overlap(y + y + y[0] + base[2 * p + 1 :])
         assert overlap.has_overlap(base[: n - 2 * p - 1] + y + y + y[0])
 
@@ -184,15 +190,15 @@ def test_overlap_equivariance_long():
 
 
 def _agrees_with_the_scan(w: str) -> None:
-    assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
-    proper = overlap.brute_has_overlap(w[:-1]) or overlap.brute_has_overlap(w[1:])
+    assert overlap.has_overlap(w) == brute_has_overlap(w), w
+    proper = brute_has_overlap(w[:-1]) or brute_has_overlap(w[1:])
     assert overlap.has_overlap(w, proper=True) == proper, w
 
 
 def test_desubstitution_matches_references_exhaustive(monkeypatch):
     monkeypatch.setattr(overlap, "_FLOOR", 8)
     for w in slow.words_up_to(16, min_len=0):
-        assert overlap.has_overlap(w) == overlap.brute_has_overlap(w), w
+        assert overlap.has_overlap(w) == brute_has_overlap(w), w
         assert words.is_almost_overlap_free(w) == slow.aof_slow(w), w
 
 

@@ -1,6 +1,7 @@
 """Descent, rebuild, and the canonical-form entry points."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -145,9 +146,10 @@ def test_descent_validates_its_words_once(monkeypatch):
 
 
 def test_final_check_is_the_traced_overlap_scan(monkeypatch):
-    # the final check reaches overlap.has_overlap by name, once, so the
-    # benchmark's span around it counts the whole check, on words scanned
-    # and on words desubstituted alike
+    # the word the final check reads whole reaches overlap.has_overlap by
+    # name, once, so the benchmark's span around it counts that read: the
+    # rebuilt word's proper factors when it is short, else the one round
+    # word of at most _FLOOR letters below the fringes the rebuild tested
     calls = []
     scan = overlap.has_overlap
 
@@ -156,11 +158,11 @@ def test_final_check_is_the_traced_overlap_scan(monkeypatch):
         return scan(s, proper)
 
     monkeypatch.setattr(overlap, "has_overlap", counting)
-    for n in (1000, 2 * overlap._FLOOR):
+    for n, read in ((1000, (1000, True)), (2 * overlap._FLOOR, (overlap._FLOOR, False))):
         calls.clear()
         w = slow.thue_morse(n)
         assert pipeline.eqaof(w) == w
-        assert calls == [(n, True)]
+        assert calls == [read]
 
 
 def test_uniform_rounds_take_frame_alone(monkeypatch):
@@ -299,13 +301,13 @@ def test_normalize_cube_collapse_round():
     # and must collapse it
     s = pipeline.ancestor("aabbaabbaabb")
     assert s.anc == "aa"
-    assert pipeline.normalize("aa", s) == "aabbaabb"
+    assert pipeline.normalize("aa", s) == ("aabbaabb", "aabbaabb")
 
 
 def test_normalize_identity_when_single_round():
     s = pipeline.ancestor("aabaa")
     assert s.ell == 1
-    assert pipeline.normalize("aabaa", s) == "aabaa"
+    assert pipeline.normalize("aabaa", s) == ("aabaa", "aabaa")
 
 
 def test_rebuild_from_stop_word_stays_in_class():
@@ -314,9 +316,118 @@ def test_rebuild_from_stop_word_stays_in_class():
     # oracle joins to the input
     for u in slow.words_up_to(14):
         s = pipeline.ancestor(u)
-        f = pipeline.normalize(classes.match_S(s.anc) or s.anc, s)
+        f, _ = pipeline.normalize(classes.match_S(s.anc) or s.anc, s)
         if f != u:
             assert oracle_equiv(u, f, max(len(u), len(f)) + 4) == OracleAnswer.YES, (u, f)
+
+
+def _fringe_reads(monkeypatch) -> list[tuple[int, bool]]:
+    """(round word length, overlap found) for each fringe test the rebuild
+    makes; the standalone checks' own fringe tests are left out."""
+    log: list[tuple[int, bool]] = []
+    rebuilding = []
+    test, rebuild = overlap.fringe_overlap, pipeline.normalize
+
+    def logged(w, n, lx, ly, top):
+        found = test(w, n, lx, ly, top)
+        if rebuilding:
+            log.append((n, found))
+        return found
+
+    def normalize(w, series):
+        rebuilding.append(w)
+        try:
+            return rebuild(w, series)
+        finally:
+            rebuilding.pop()
+
+    monkeypatch.setattr(overlap, "fringe_overlap", logged)
+    monkeypatch.setattr(pipeline, "normalize", normalize)
+    return log
+
+
+def test_fused_final_check_matches_the_slow_reference_exhaustive(monkeypatch):
+    # with the floor lowered, rebuilds of a dozen letters test their
+    # fringes round by round; the verdict must still be the definition's
+    monkeypatch.setattr(overlap, "_FLOOR", 8)
+    reads = _fringe_reads(monkeypatch)
+    found = 0
+    for w in slow.words_up_to(14):
+        reads.clear()
+        _, rep, v, ok = pipeline._form(w)
+        if rep is not None:
+            assert ok == slow.aof_slow(v), (w, v)
+            found += any(f for _, f in reads)
+    assert found
+
+
+def test_cube_collapse_above_the_floor_restarts_the_check(monkeypatch):
+    # (aabb)^3 = a phi(ababa) b has an overlap at its fringe, and its image
+    # (ababbaba)^3 collapses to a square, which is no longer x phi(u) y: the
+    # check restarts there and reads that word whole, and only the top
+    # round's fringes are tested above it
+    monkeypatch.setattr(overlap, "_FLOOR", 8)
+    reads = _fringe_reads(monkeypatch)
+    rounds = [pipeline.Round(None) for _ in range(4)]
+    rounds[2].L, rounds[2].R = "a", "b"
+    series = pipeline.PrimarySeries("ababa", rounds)
+    monkeypatch.setattr(pipeline, "ancestor", lambda u, trace=False: series)
+    monkeypatch.setattr(pipeline, "match_S", lambda x: x)
+    collapsed = "ababbaba" * 2
+    verdicts = []
+    for fringes in itertools.product(("", "a", "b"), repeat=4):
+        rounds[0].L, rounds[0].h, rounds[0].t, rounds[0].R = fringes
+        reads.clear()
+        v, base = pipeline.normalize("ababa", series)
+        # the fringe of (aabb)^3 holds an overlap, the collapse clears that,
+        # and the top round's fringe test alone can reject again
+        (n, below), (top, above) = reads
+        assert (n, below, top) == (12, True, len(v)), reads
+        assert base == (None if above else collapsed), v
+        _, _, w, ok = pipeline._form("ababa")
+        assert w == v and ok == slow.aof_slow(v), v
+        verdicts.append(ok)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _edited_thue_morse(rng: random.Random, tm: str, n: int) -> str:
+    """A Thue-Morse factor of n letters with up to 40 letters prepended or
+    appended, one letter flipped or a short square planted; or a random word."""
+    k = rng.randrange(len(tm) - n)
+    w = tm[k : k + n]
+    kind = rng.randrange(5)
+    extra = "".join(rng.choice("ab") for _ in range(rng.randint(1, 40)))
+    j, p = rng.randrange(n), rng.randint(1, 6)
+    return (
+        extra + w,
+        w + extra,
+        w[:j] + words.negate(w[j]) + w[j + 1 :],
+        w[: j + p] + w[j:],
+        "".join(rng.choice("ab") for _ in range(n)),
+    )[kind]
+
+
+def test_fused_final_check_on_long_inputs(monkeypatch):
+    # above the floor the rebuild tests its fringes round by round; its
+    # verdict must be the standalone check's on the rebuilt word, with
+    # fringe overlaps found both at the top round and at inner ones
+    reads = _fringe_reads(monkeypatch)
+    rng = random.Random(20261020)
+    tm = slow.thue_morse(1 << 15)
+    # 2 * _FLOOR letters and more, so that an inner round is above the floor
+    inputs = [_edited_thue_morse(rng, tm, rng.randint(8193, 12000)) for _ in range(300)]
+    big = slow.thue_morse((1 << 18) + 64)
+    inputs += [_edited_thue_morse(rng, big, 1 << 18) for _ in range(6)]
+    reached = {"top": 0, "inner": 0}
+    for w in inputs:
+        reads.clear()
+        _, rep, v, ok = pipeline._form(w)
+        if rep is not None:
+            for n, found in reads:
+                if found:
+                    reached["top" if n == len(v) else "inner"] += 1
+            assert ok == words.is_almost_overlap_free(v), (len(w), w[:40])
+    assert all(reached.values()), reached
 
 
 def test_normalize_rejects_bad_stop_words():

@@ -6,9 +6,10 @@ stay independent of the package they check, the package's modules must
 import each other without cycles, importing the package must load none of
 the standard library's code-inspection modules, the package's invariants
 must raise rather than assert, the CLI must run no pipeline stage of its
-own, the descent must leave the morphism pull-back to `frame`, the package
-root must export only its checked entry points, and the README's command
-table must list the commands the CLI has and its examples must run as shown.
+own, the descent must leave the morphism pull-back to `frame`, the overlap
+test at a word's fringes must have one home, the package root must export
+only its checked entry points, and the README's command table must list the
+commands the CLI has and its examples must run as shown.
 """
 from __future__ import annotations
 
@@ -188,6 +189,27 @@ def test_pipeline_leaves_the_pull_back_to_frame():
         if isinstance(node, ast.Slice) and node.step is not None
     ]
     assert stepped == [], stepped
+
+
+def test_fringe_rule_has_one_home():
+    # the square periods, and the overlap test at a word's fringes that runs
+    # over them, live in overlap.py; the standalone desubstitution and the
+    # rebuild's own check both reach that test through one helper
+    periods, tests, callers = set(), set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            named = set().union(*map(_names, ast.walk(fn))) - {fn.name}
+            if "_square_periods" in named:
+                periods.add(path.name)
+            if {"_square_periods", "startswith"} <= named:
+                tests.add(f"{path.stem}.{fn.name}")
+            if "fringe_overlap" in named:
+                callers.add(f"{path.stem}.{fn.name}")
+    assert periods == {"overlap.py"}
+    assert tests == {"overlap.fringe_overlap"}
+    assert callers == {"overlap.has_overlap", "overlap._desubstitute", "pipeline.normalize"}
 
 
 def test_exceptions_mean_bad_input():

@@ -1,6 +1,8 @@
 """Word predicates and morphism plumbing."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from aofcanon import overlap, words
 from aofcanon.errors import WordError
 
 import _oracles as slow
+from test_overlap_internals import brute_has_overlap
 
 ab_words = st.text(alphabet="ab", max_size=200)
 
@@ -44,7 +47,7 @@ def test_is_word_reads_every_slice_of_a_long_word():
         words.is_overlap_free,
         words.is_almost_overlap_free,
         words.is_cube_free,
-        overlap.brute_has_overlap,
+        brute_has_overlap,
     ],
 )
 def test_overlap_predicates_reject_non_words(predicate, bad):
@@ -88,6 +91,13 @@ def test_phi_roundtrip(w):
 @given(ab_words)
 def test_phi_commutes_with_negation(w):
     assert words.phi(words.negate(w)) == words.negate(words.phi(w))
+
+
+def test_phi_interleaves_the_word_and_its_negation():
+    # phi(w) reads w at its even positions and negate(w) at its odd ones
+    for w in itertools.chain(["", slow.thue_morse(1 << 20)], slow.words_up_to(12)):
+        img = words.phi(w)
+        assert img[0::2] == w and img[1::2] == words.negate(w), w[:32]
 
 
 def test_phi_image_matches_slow():
