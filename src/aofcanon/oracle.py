@@ -5,10 +5,17 @@ word under both rewrite directions inside a length budget gives a partial
 view of its equivalence class: intersection proves equivalence, and nothing
 here ever proves inequivalence.
 
+A word is held as the integer `overlap._as_int` reads: a leading sentinel
+1, then one bit per letter, the last letter lowest. A longer word is a
+larger integer, and words of one length compare as they read, so integer
+order is (length, lex) order: the heap holds bare integers, and the members
+are decoded once, in order, at the end.
+
 A neighbour step reads squares and cubes off `overlap`'s run mask, one per
-period p. All squares (cubes) of period p in one run, a maximal factor of
-period p, rewrite to the same word: expanding one inserts, and contracting
-one deletes, p letters that continue the run. So one word is built per run.
+period p, computed inline. All squares (cubes) of period p in one run, a
+maximal factor of period p, rewrite to the same word: expanding one
+inserts, and contracting one deletes, p letters that continue the run. So
+one word is built per run, with two shifts and a mask.
 """
 from __future__ import annotations
 
@@ -19,27 +26,44 @@ from typing import NamedTuple
 from . import overlap, words
 
 
-def _neighbours(w: str, length_bound: int) -> tuple[set[str], bool]:
-    """One rewrite step each way; clipped reports a blocked expansion."""
-    out: set[str] = set()
+def _neighbours(x: int, n: int, length_bound: int) -> tuple[set[int], bool]:
+    """One rewrite step each way from the n-letter word x; clipped reports
+    a blocked expansion."""
+    out: set[int] = set()
     clipped = False
-    n = len(w)
-    x = overlap._as_int(w)
+    nx, full = ~x, (1 << n) - 1
     for p in range(1, n // 2 + 1):
-        sq = grow = overlap._run_mask(x, n, p, p)
+        if clipped and 3 * p > n:
+            break  # no cube has this period, and no square can grow
+        # overlap._run_mask(x, n, p, p), inline
+        sq = (nx ^ (x >> p)) & (full >> p)
+        have = 1
+        while 2 * have < p and sq:
+            sq &= sq >> have
+            have *= 2
+        if have < p:
+            sq &= sq >> (p - have)
         if not sq:
             continue
+        # Bit i: a square at j = n-2p-i, whose letters and all after it are
+        # x's low k = 2p+i bits. It grows to w[:j+p] + w[j:]; with bit i+p,
+        # a cube at j-p shrinks to w[:j-p] + w[j:].
         if n + p > length_bound:
-            clipped, grow = True, 0
-        # Bit i: a square at j = n-2p-i, which grows to w[:j+p] + w[j:]; with
-        # bit i+p, a cube at j-p, which shrinks to w[:j-p] + w[j:].
-        for m, d in ((grow, p), (sq & (sq >> p), -p)):
-            m &= ~(m >> 1)  # the leftmost of each run gives the run's one word
+            clipped = True
+        else:
+            m = sq & ~(sq >> 1)  # the leftmost of each run gives the run's one word
             while m:
-                i = m.bit_length() - 1
-                m ^= 1 << i
-                j = n - 2 * p - i
-                out.add(w[: j + d] + w[j:])
+                k = m.bit_length() - 1
+                m ^= 1 << k
+                k += 2 * p
+                out.add((x >> (k - p)) << k | (x & ((1 << k) - 1)))
+        m = sq & (sq >> p)
+        m &= ~(m >> 1)
+        while m:
+            k = m.bit_length() - 1
+            m ^= 1 << k
+            k += 2 * p
+            out.add((x >> (k + p)) << k | (x & ((1 << k) - 1)))
     return out, clipped
 
 
@@ -51,8 +75,7 @@ class ClosureResult(NamedTuple):
     step_bound: int
 
 
-def _sort_key(w: str) -> tuple[int, str]:
-    return len(w), w
+_LETTERS = str.maketrans("01", "ab")  # decodes bin(x)[3:] back to letters
 
 
 def closure(
@@ -66,34 +89,36 @@ def closure(
     exhausted=False flags either a blocked expansion at the length bound or
     running out of step budget; the partial result is still returned.
     stop_on short-circuits once the given word is generated (the member list
-    is then partial, which is all equivalence probing needs).
+    is then partial, which is all equivalence probing needs); a stop_on that
+    is not a word raises WordError.
     """
     words._check_nonempty(seed)
     if length_bound < len(seed):
         raise ValueError(f"length bound {length_bound} below |seed| = {len(seed)}")
-    visited = {seed}
-    heap = [_sort_key(seed)]
+    x = overlap._as_int(seed)
+    stop = None if stop_on is None else overlap._as_int(stop_on)
+    visited = {x}
+    heap = [x]
     steps = 0
     exhausted = True
     while heap:
         if steps >= step_bound:
             exhausted = False
             break
-        _, w = heapq.heappop(heap)
+        x = heapq.heappop(heap)
         steps += 1
-        nbrs, clipped = _neighbours(w, length_bound)
+        nbrs, clipped = _neighbours(x, x.bit_length() - 1, length_bound)
         if clipped:
             exhausted = False
         new = nbrs - visited
         visited |= new
-        if stop_on is not None and stop_on in visited:
+        if stop in visited:  # never when stop_on is None
             exhausted = False
             break
-        for x in new:
-            heapq.heappush(heap, _sort_key(x))
-    return ClosureResult(
-        seed, tuple(sorted(visited, key=_sort_key)), exhausted, length_bound, step_bound
-    )
+        for y in new:
+            heapq.heappush(heap, y)
+    members = tuple([bin(y)[3:].translate(_LETTERS) for y in sorted(visited)])
+    return ClosureResult(seed, members, exhausted, length_bound, step_bound)
 
 
 class OracleAnswer(Enum):

@@ -42,9 +42,10 @@ bit n-p, a set bit i of ~(x ^ (x >> p)) says the letters at 0-indexed
 positions n-1-i-p and n-1-i agree. A factor of period p and length p+need is
 a run of `need` set bits, found with about log2(need) shift-and steps; over
 the about 2*log2(n) periods 2^k and 3*2^k the cost is O(n log^2 n / word
-size). The encoding (`_as_int`) and the per-period mask (`_run_mask`) are
-shared: `oracle` reads its squares and cubes off the same masks, and
-`has_cube` and the tests' reference scan every period with them.
+size). The encoding (`_as_int`) is shared: `oracle` holds its words as
+these integers and computes the same per-period mask (`_run_mask`) inline
+for its squares and cubes. `has_cube` and the tests' reference scan every
+period with `_run_mask`, through `_has_run`.
 """
 from __future__ import annotations
 
@@ -133,7 +134,12 @@ def fringe_overlap(w: str, n: int, lx: int, ly: int, top: int) -> bool:
     length 2p+1 that starts in the first lx letters or ends in the last ly."""
     for p in _square_periods(top):
         for s in (*range(lx), *range(n - ly - 2 * p, n - 2 * p)):
-            if 0 <= s < n - 2 * p and w.startswith(w[s + p : s + 2 * p + 1], s):
+            # the three letters c of cYcYc first, then the copy of Yc
+            if (
+                0 <= s < n - 2 * p
+                and w[s] == w[s + p] == w[s + 2 * p]
+                and w.startswith(w[s + p : s + 2 * p + 1], s)
+            ):
                 return True
     return False
 

@@ -6,6 +6,7 @@ and one of these ever disagree, trust this file.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections.abc import Iterator
 from functools import cache
@@ -162,6 +163,37 @@ def neighbours_slow(w: str, length_bound: int) -> tuple[set[str], bool]:
             if w[i : i + per] == w[i + per : i + 2 * per] == w[i + 2 * per : i + 3 * per]:
                 out.add(w[:i] + w[i + per :])
     return out, clipped
+
+
+def closure_slow(
+    seed: str, length_bound: int, step_bound: int = 1_000_000, stop_on: str | None = None
+) -> tuple[str, tuple[str, ...], bool, int, int]:
+    """The fields of oracle.closure's result, from a breadth-first search over
+    neighbours_slow that expands the shortest, then alphabetically first,
+    word found and not yet expanded. The reference for partial closures."""
+    def key(w: str) -> tuple[int, str]:
+        return len(w), w
+
+    found = {seed}
+    todo = [key(seed)]
+    steps = 0
+    exhausted = True
+    while todo:
+        if steps >= step_bound:
+            exhausted = False
+            break
+        _, w = heapq.heappop(todo)
+        steps += 1
+        nbrs, clipped = neighbours_slow(w, length_bound)
+        if clipped:
+            exhausted = False
+        for v in nbrs - found:
+            found.add(v)
+            heapq.heappush(todo, key(v))
+        if stop_on in found:
+            exhausted = False
+            break
+    return seed, tuple(sorted(found, key=key)), exhausted, length_bound, step_bound
 
 
 def thue_morse(n: int) -> str:

@@ -27,9 +27,9 @@ import _oracles as slow
 EXHAUSTIVE_LEN = 18          # every word up to here is enumerable in seconds
 RECOGNIZER_BOUND = 20        # closure bound for the 30 reference classes
 DISJOINT_AOF_LEN = 12        # seeds for the pairwise-disjointness sweep
-DISJOINT_BOUND = 18
+DISJOINT_BOUND = 19
 ORACLE_AOF_LEN = 10          # seeds for the members-map-back sweep
-ORACLE_BOUND = 16
+ORACLE_BOUND = 17
 SYMMETRY_SAMPLE = 10_000
 SYMMETRY_MAX_LEN = 256
 SYMMETRY_SEED = 20260822

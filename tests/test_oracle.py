@@ -3,16 +3,27 @@ from __future__ import annotations
 
 import pytest
 
-from aofcanon import oracle, words
+from aofcanon import oracle, overlap, words
 from aofcanon.errors import EmptyInput, WordError
 from aofcanon.oracle import OracleAnswer
 
 import _oracles as slow
 
 
+def _decode(x: int) -> str:
+    """The word read as x by overlap._as_int."""
+    return bin(x)[3:].translate(str.maketrans("01", "ab"))
+
+
+def _step(w: str, length_bound: int) -> tuple[set[str], bool]:
+    """oracle._neighbours on the word w, its rewrites decoded."""
+    out, clipped = oracle._neighbours(overlap._as_int(w), len(w), length_bound)
+    return {_decode(x) for x in out}, clipped
+
+
 def _pi(w: str, length_bound: int) -> set[str]:
     """The one-step rewrites of w under YY <-> YYY within the length bound."""
-    return oracle._neighbours(w, length_bound)[0]
+    return _step(w, length_bound)[0]
 
 
 def test_pi_neighbours_frozen():
@@ -24,7 +35,7 @@ def test_pi_neighbours_frozen():
 
 def test_pi_neighbours_respects_bound():
     # the only expansion of abab would reach length 6
-    assert oracle._neighbours("abab", 5) == (set(), True)
+    assert _step("abab", 5) == (set(), True)
 
 
 def test_pi_neighbours_are_symmetric():
@@ -41,7 +52,7 @@ def test_neighbours_match_slow_exhaustive():
     for w in slow.words_up_to(13):
         n = len(w)
         for bound in (n, n + 1, n + 3, n + 6):
-            assert oracle._neighbours(w, bound) == slow.neighbours_slow(w, bound), (w, bound)
+            assert _step(w, bound) == slow.neighbours_slow(w, bound), (w, bound)
 
 
 def test_closure_frozen_small():
@@ -70,6 +81,28 @@ def test_closure_stop_on_short_circuits():
     assert not res.exhausted
 
 
+def test_words_as_integers_round_trip_in_length_lex_order():
+    # the closure's heap and its member order rest on both facts
+    ws = list(slow.words_up_to(12))
+    xs = [overlap._as_int(w) for w in ws]
+    assert [_decode(x) for x in xs] == ws
+    assert [_decode(x) for x in sorted(xs)] == sorted(ws, key=lambda w: (len(w), w))
+
+
+def test_closure_matches_slow_partial_closures_exhaustive():
+    # step-bounded and stop_on results are partial, so their members depend
+    # on the expansion order; the reference expands strings in (length, lex)
+    # order. The stop word, the seed with its first letter doubled, is in
+    # the closure for some seeds and not for others.
+    for w in slow.words_up_to(9):
+        bound = len(w) + 3
+        for steps in (1, 2, 5, 1_000_000):
+            got = oracle.closure(w, bound, steps)
+            assert tuple(got) == slow.closure_slow(w, bound, steps), (w, steps)
+        got = oracle.closure(w, bound, stop_on=w[0] + w)
+        assert tuple(got) == slow.closure_slow(w, bound, stop_on=w[0] + w), w
+
+
 def test_closure_step_budget():
     res = oracle.closure("aa", 30, step_bound=2)
     assert not res.exhausted
@@ -81,6 +114,8 @@ def test_closure_rejects_bad_input():
         oracle.closure("", 5)
     with pytest.raises(ValueError):
         oracle.closure("aaaa", 3)
+    with pytest.raises(WordError):
+        oracle.closure("ab", 5, stop_on="xy")
 
 
 def test_closure_equivariance_small():
