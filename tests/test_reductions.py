@@ -58,7 +58,7 @@ def test_r1_matches_slow_on_runs(first, lengths):
     assert reductions.r1(w) == slow.r1_slow(w)
 
 
-# r1 finds a word's first len(w) // overlap._FLOOR cubes of each letter one
+# r1 finds a word's last len(w) // overlap._FLOOR cubes of each letter one
 # by one and substitutes the rest; at floor 8 short words take both paths
 def test_r1_above_a_lowered_floor_exhaustive(monkeypatch):
     monkeypatch.setattr(overlap, "_FLOOR", 8)
@@ -99,6 +99,47 @@ def _tm_with_runs(draw) -> str:
 def test_r1_above_the_floor(w):
     assert len(w) >= 2 * overlap._FLOOR
     assert reductions.r1(w) == slow.r1_by_runs(w)
+
+
+# r1 cuts a letter's last len(w) // overlap._FLOOR cubes one by one, right to
+# left, and substitutes the word left of them: the edges of that loop at the
+# real floor
+@pytest.mark.parametrize("w", ["a" * 10_000, "b" * 10_000, "ab" + "a" * 10_000 + "b"])
+def test_r1_one_long_run(w):
+    assert reductions.r1(w) == slow.r1_by_runs(w)
+
+
+@pytest.mark.parametrize("i", [0, 3, 4, 9])
+def test_r1_cubes_at_both_ends(i):
+    # a cube at index 0 and one that ends on the last letter: of both letters
+    # or of one, in runs of exactly 3 letters or longer
+    f = _TM[i : i + (1 << 13)]
+    w = f[0] * 2 + f + f[-1] * 2
+    assert w.startswith(w[0] * 3) and w.endswith(w[-1] * 3)
+    assert reductions.r1(w) == slow.r1_by_runs(w)
+
+
+_F = _TM[: 1 << 13]  # starts with a
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        # one b-cube more than r1 cuts one by one, so the word left to
+        # substitute holds just the cube at index 0
+        "bbb" + _F[:4096] + "bbb" + _F[4096:] + "bbb",
+        "bbb".join(["", *(_F[j : j + 1000] for j in range(0, len(_F), 1000))]),
+    ],
+)
+def test_r1_more_cubes_than_it_cuts_one_by_one(w):
+    assert w.count("bbb") > len(w) // overlap._FLOOR
+    assert reductions.r1(w) == slow.r1_by_runs(w)
+
+
+@pytest.mark.parametrize("w", ["abaabbab", _TM])
+def test_r1_returns_a_cube_free_word_itself(w):
+    # no copy: the descent calls r1 on every non-uniform round
+    assert reductions.r1(w) is w
 
 
 def test_complete_reduction_example():
