@@ -9,12 +9,11 @@ output line (a multi-line report joins its lines with "; ").
 
 Exit codes: 0 success, 1 negative result (false / FALSE / NOT_EQUIVALENT),
 2 UNKNOWN from equiv, 64 misuse of the command line, 65 bad input: an
-invalid or empty word, a word that is not cube-collapsed given to check
-ab-whole, or a batch line with the wrong number of words, 70 an internal
-fault: a broken invariant of the descent, reported on one stderr line. In
-batch mode the per-line result codes collapse to 0; a line that would exit
-65 or 70 still aborts the stream with that code, after the output of the
-lines before it.
+invalid or empty word, or a batch line with the wrong number of words, 70
+an internal fault: a broken invariant of the descent, reported on one
+stderr line. In batch mode the per-line result codes collapse to 0; a line
+that would exit 65 or 70 still aborts the stream with that code, after the
+output of the lines before it.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ import click
 
 from . import classes as classes_mod
 from . import oracle as oracle_mod
-from . import __version__, pipeline, reductions, words
+from . import __version__, pipeline, words
 from .errors import WordError
 
 click.UsageError.exit_code = 64
@@ -76,21 +75,9 @@ def main() -> None:
     """Canonical almost overlap-free forms under the YY = YYY equivalence."""
 
 
-def _check_r1(w: str) -> str:
-    """The input check of check ab-whole, whose site scan assumes no letter cube."""
-    if "aaa" in w or "bbb" in w:
-        raise WordError(f"letter cube present: {w[:32]!r}")
-    return w
-
-
 _PREDICATES: dict[str, Callable[[str], bool]] = {
     "overlap-free": words.is_overlap_free,
     "almost-overlap-free": words.is_almost_overlap_free,
-    "cube-free": words.is_cube_free,
-    "uniform": words.is_uniform,
-    "letter-alternating": words.is_letter_alternating,
-    "ab-whole": lambda w: reductions.is_ab_whole(_check_r1(w)),
-    "phi-image": words.is_phi_image,
 }
 
 
@@ -101,21 +88,6 @@ def check(predicate: str, word: str | None) -> None:
     """Test WORD against PREDICATE; prints true or false (exit 0 / 1)."""
     fn = _PREDICATES[predicate]
     _each((word,), lambda w: (["true"], 0) if fn(w) else (["false"], 1))
-
-
-_REDUCERS: dict[str, Callable[[str], str]] = {
-    "r1": reductions.r1,
-    "r": reductions.complete_reduction,
-}
-
-
-@main.command()
-@click.argument("mode", type=click.Choice(list(_REDUCERS)))
-@click.argument("word", required=False)
-def reduce(mode: str, word: str | None) -> None:
-    """Rewrite WORD: r1 collapses powers, r reduces fully."""
-    fn = _REDUCERS[mode]
-    _each((word,), lambda w: ([fn(w)], 0))
 
 
 @main.command()

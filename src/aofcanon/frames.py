@@ -1,8 +1,10 @@
 """Fringe split and pull-back of uniform words.
 
-A uniform word U reads as h * phi(X) * t, where the fringe letters h, t are
-empty or single letters. The split is forced: words._core_offset gives the
-offset of U's block pairs, which is |h|, and |t| mops up the length parity.
+A word is uniform when its doubles aa and bb all start at positions of one
+parity. A uniform word U reads as h * phi(X) * t, where the fringe letters
+h, t are empty or single letters. The split is forced: words._core_offset
+gives the offset of U's block pairs, which is |h|, and |t| mops up the
+length parity.
 X is then every other letter of U between the fringes, read straight off
 U, so `h + phi(X) + t` rebuilds U, and a descent round splits and pulls
 back in one call. A word that is not uniform has no such split, and `frame`

@@ -1,4 +1,4 @@
-"""Overlap and cube detection for binary words, linear-time for overlaps.
+"""Overlap detection for binary words, in linear time.
 
 An overlap is a factor of length 2p+1 with period p (equivalently cYcYc with
 c a letter and Y possibly empty). Checking every period at every position is
@@ -44,8 +44,8 @@ a run of `need` set bits, found with about log2(need) shift-and steps; over
 the about 2*log2(n) periods 2^k and 3*2^k the cost is O(n log^2 n / word
 size). The encoding (`_as_int`) is shared: `oracle` holds its words as
 these integers and computes the same per-period mask (`_run_mask`) inline
-for its squares and cubes. `has_cube` and the tests' reference scan every
-period with `_run_mask`, through `_has_run`.
+for its squares and cubes, and the tests' reference scans every period
+with `_run_mask`.
 """
 from __future__ import annotations
 
@@ -96,11 +96,11 @@ def _run_mask(x: int, n: int, p: int, need: int) -> int:
     return run & (run >> (need - have)) if have < need else run
 
 
-def _has_run(s: str, pairs: Iterable[tuple[int, int]]) -> bool:
-    """Some (p, need) in pairs with a factor of period p and length p + need."""
+def _scan(s: str, top: int) -> bool:
+    """Some factor of s of length 2p+1 with a period p = 2^k or 3*2^k up to top."""
     n = len(s)
     x = _as_int(s)
-    return any(_run_mask(x, n, p, need) for p, need in pairs)
+    return any(_run_mask(x, n, p, p + 1) for p in _square_periods(top))
 
 
 def _square_periods(top: int) -> Iterable[int]:
@@ -119,7 +119,7 @@ def has_overlap(s: str, proper: bool = False) -> bool:
     hi = n - 1 if proper else n
     if hi <= _FLOOR:
         # no factor of length 2p+1 fits in hi letters above this period
-        return _has_run(s, ((p, p + 1) for p in _square_periods((hi - 1) // 2)))
+        return _scan(s, (hi - 1) // 2)
     # the rounds do not read every letter, so check them all first
     if not is_word(s):
         raise WordError(f"not a word over {{a,b}}: {s[:32]!r}")
@@ -160,12 +160,4 @@ def _desubstitute(w: str, n: int) -> bool:
         if u.translate(NEGATE) != w[lx + 1 : n - ly : 2]:
             return True  # the core is not phi(u)
         w, n = u, len(u)
-    return _has_run(w[:n], ((p, p + 1) for p in _square_periods((n - 1) // 2)))
-
-
-def has_cube(s: str) -> bool:
-    """Some factor YYY, Y nonempty. Quadratic in the worst case.
-
-    Cube-free checking is not on the hot path.
-    """
-    return _has_run(s, ((p, 2 * p) for p in range(1, len(s) // 3 + 1)))
+    return _scan(w[:n], (n - 1) // 2)

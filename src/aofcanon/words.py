@@ -53,39 +53,14 @@ def _core_offset(w: str) -> int | None:
     return None
 
 
-def is_phi_image(w: str) -> bool:
-    """True when w = phi(x) for some word x.
+def phi_inverse(w: str) -> str:
+    """Unique preimage under phi. Raises WordError when none exists.
 
     Images are exactly the even-length words whose block pairs are ab or ba.
     """
-    return len(w) % 2 == 0 and _core_offset(w) == 0
-
-
-def phi_inverse(w: str) -> str:
-    """Unique preimage under phi. Raises WordError when none exists."""
-    if not is_phi_image(w):
+    if len(w) % 2 or _core_offset(w) != 0:
         raise WordError(f"not a morphism image: {w[:32]!r}...")
     return w[0::2]
-
-
-def is_letter_alternating(w: str) -> bool:
-    """No aa or bb factor."""
-    return "aa" not in w and "bb" not in w
-
-
-def is_uniform(w: str) -> bool:
-    """All double-letter factors start at positions of one parity.
-
-    No double starts at an even 0-indexed position iff each block pair at
-    offset 0 is ab or ba, and no double starts at an odd one iff each pair
-    at offset 1 is; letter-alternating words pass at both.
-    """
-    return _core_offset(w) is not None
-
-
-def is_cube_free(w: str) -> bool:
-    """No factor of shape YYY with Y nonempty."""
-    return not overlap.has_cube(w)
 
 
 def is_overlap_free(w: str) -> bool:

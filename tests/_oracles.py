@@ -27,15 +27,6 @@ def has_overlap_slow(w: str) -> bool:
     return False
 
 
-def has_cube_slow(w: str) -> bool:
-    n = len(w)
-    for p in range(1, n // 3 + 1):
-        for i in range(n - 3 * p + 1):
-            if all(w[i + j] == w[i + j + p] for j in range(2 * p)):
-                return True
-    return False
-
-
 def aof_slow(w: str) -> bool:
     if len(w) <= 2:
         return True

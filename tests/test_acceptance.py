@@ -17,7 +17,7 @@ import random
 import statistics
 import time
 
-from aofcanon import oracle, pipeline, reductions, words
+from aofcanon import frames, oracle, pipeline, reductions, words
 from aofcanon.classes import pattern_table
 from aofcanon.oracle import OracleAnswer
 from aofcanon.pipeline import Verdict
@@ -143,7 +143,7 @@ def test_07_negation_and_reversal_equivariance():
 
 def test_08_uniform_means_reduction_fixed_point():
     for w in _every_word(1, EXHAUSTIVE_LEN):
-        assert words.is_uniform(w) == (reductions.complete_reduction(w) == w), w
+        assert (frames.frame(w) is not None) == (reductions.complete_reduction(w) == w), w
 
 
 def _timed(w: str) -> float:

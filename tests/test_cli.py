@@ -7,6 +7,7 @@ from click.testing import CliRunner
 import aofcanon
 from aofcanon.classes import in_special_class, match_S
 from aofcanon.cli import main
+from aofcanon.frames import frame
 from aofcanon.pipeline import ancestor
 from aofcanon.reductions import (
     detect_non_reducible_tails,
@@ -15,7 +16,6 @@ from aofcanon.reductions import (
     r1,
     tail_reduce,
 )
-from aofcanon.words import is_uniform
 
 import _oracles as slow
 
@@ -30,9 +30,9 @@ def run(runner, *args, **kw):
 
 
 def test_check_true_false_exit_codes(runner):
-    res = run(runner, "check", "uniform", "abaabbab")
+    res = run(runner, "check", "overlap-free", "abaabbab")
     assert res.exit_code == 0 and res.output == "true\n"
-    res = run(runner, "check", "uniform", "aabaabb")
+    res = run(runner, "check", "almost-overlap-free", "abababa")
     assert res.exit_code == 1 and res.output == "false\n"
     res = run(runner, "check", "overlap-free", "aaa")
     assert res.exit_code == 1 and res.output == "false\n"
@@ -41,20 +41,9 @@ def test_check_true_false_exit_codes(runner):
 
 
 def test_check_batch_exit_zero(runner):
-    res = run(runner, "check", "uniform", input="abaabbab\naabaabb\n")
+    res = run(runner, "check", "overlap-free", input="abaabbab\nababa\n")
     assert res.exit_code == 0
     assert res.output == "true\nfalse\n"
-
-
-def test_reduce_modes(runner):
-    assert run(runner, "reduce", "r1", "abaaab").output == "abaab\n"
-    assert run(runner, "reduce", "r", "abaabaaba").output == "abaaba\n"
-
-
-def test_reduce_batch(runner):
-    res = run(runner, "reduce", "r1", input="aaaa\nbbbb\nab\n")
-    assert res.output == "aa\nbb\nab\n"
-    assert res.exit_code == 0
 
 
 def test_tails_report(runner):
@@ -88,13 +77,6 @@ def test_tails_batch_joins_lines(runner):
         [part.split(" tails=")[1] for part in line.split("; ")[:-1]]
         for line in res.output.splitlines()
     ] == [["left:A:nonuniform:1..8,right:B:nonuniform:3..10", "-", "-"], ["-", "-"]]
-
-
-def test_batch_aborts_on_word_outside_contract(runner):
-    # aaa is a valid word but not cube-collapsed: the stream stops there
-    res = run(runner, "check", "ab-whole", input="ab\naaa\nab\n")
-    assert res.exit_code == 65
-    assert res.stdout.count("\n") == 1
 
 
 def test_explain_rounds_follow_descent(runner):
@@ -201,7 +183,7 @@ def test_explain_tails_field_on_all_short_words(runner):
             want = detect_non_uniform_tails(u)
             _, lo, hi = tail_reduce(u)
             up = u[lo:hi]
-            if not is_uniform(up) and is_ab_whole(up) and (stuck := detect_non_reducible_tails(up)):
+            if frame(up) is None and is_ab_whole(up) and (stuck := detect_non_reducible_tails(up)):
                 assert len(rounds) == 1, w
                 want += [t._replace(start=t.start + lo, end=t.end + lo) for t in stuck]
         got = rounds[0]["tails"]
@@ -270,8 +252,7 @@ def test_equiv_batch_bad_line_is_data_error(runner, bad):
 
 @pytest.mark.parametrize(
     "cmd",
-    [["check", "overlap-free"], ["reduce", "r1"], ["explain"], ["eqaof"],
-     ["closure", "--max-len", "12"], ["equiv"]],
+    [["check", "overlap-free"], ["explain"], ["eqaof"], ["closure", "--max-len", "12"], ["equiv"]],
     ids=lambda cmd: cmd[0],
 )
 def test_batch_reader_is_one_rule(runner, cmd):
@@ -340,7 +321,7 @@ def test_classes_dump(runner):
 def test_empty_word_is_rejected(runner):
     res = run(runner, "eqaof", "")
     assert res.exit_code == 65
-    res = run(runner, "check", "uniform", input="ab\n\n")
+    res = run(runner, "check", "almost-overlap-free", input="ab\n\n")
     assert res.exit_code == 65
 
 
@@ -351,10 +332,16 @@ def test_invalid_letters_rejected(runner):
 
 def test_usage_errors(runner):
     assert run(runner, "nosuchcmd").exit_code == 64
-    assert run(runner, "reduce").exit_code == 64
-    assert run(runner, "reduce", "rt", "ab").exit_code == 64  # modes are r1 and r
     assert run(runner, "closure", "ab").exit_code == 64  # missing --max-len
     assert run(runner, "enum-aof", "0").exit_code == 64
+
+
+def test_cli_keeps_the_papers_objects(runner):
+    # the descent's internals are shown by explain, not by commands of their own
+    assert run(runner, "reduce", "r1", "ab").exit_code == 64
+    for predicate in ("cube-free", "uniform", "letter-alternating", "ab-whole", "phi-image"):
+        assert run(runner, "check", predicate, "ab").exit_code == 64, predicate
+    assert sorted(main.commands) == ["check", "classes", "closure", "enum-aof", "eqaof", "equiv", "explain"]
 
 
 def test_version_flag(runner):

@@ -47,6 +47,12 @@ def test_frame_matches_slow_exhaustive():
         assert h + words.phi(x) + t == w, w
 
 
+@given(st.text(alphabet="ab", max_size=400))
+@settings(max_examples=300)
+def test_frame_matches_uniform_slow_random(w):
+    assert (frames.frame(w) is not None) == slow.uniform_slow(w)
+
+
 @given(st.text(alphabet="ab", max_size=150))
 @settings(max_examples=300)
 def test_frame_reassembly(w):
@@ -69,4 +75,4 @@ def test_xi_wraps_with_negated_fringe(w):
     # the negated fringe letters complete U's fringe into blocks of its core
     u = reductions.complete_reduction(w)
     h, _, t = frames.frame(u)
-    assert words.is_uniform(words.negate(h) + u + words.negate(t))
+    assert frames.frame(words.negate(h) + u + words.negate(t)) is not None

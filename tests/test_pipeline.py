@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aofcanon import classes, cli, overlap, pipeline, words
+from aofcanon import classes, overlap, pipeline, words
 from aofcanon.classes import pattern_table
 from aofcanon.errors import EmptyInput, WordError
 from aofcanon.oracle import OracleAnswer, closure, oracle_equiv
@@ -128,13 +128,11 @@ def test_bad_word_messages_stay_short():
 
 def test_descent_validates_its_words_once(monkeypatch):
     # every round word comes out of r1, so the descent re-checks none of
-    # them and never reaches the CLI's cube check: ancestor checks its input
-    # once where it enters, and eqaof checks the stop word's class
-    # representative once more, in normalize
+    # them: ancestor checks its input once where it enters, and eqaof checks
+    # the stop word's class representative once more, in normalize
     checked = []
     check_word = words.check_word
     monkeypatch.setattr(words, "check_word", lambda w: checked.append(w) or check_word(w))
-    monkeypatch.setattr(cli, "_check_r1", lambda w: checked.append(("r1", w)) or w)
     for w in slow.words_up_to(12):
         checked.clear()
         series = pipeline.ancestor(w)

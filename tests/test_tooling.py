@@ -303,14 +303,14 @@ def test_one_home_per_input_check():
                 if isinstance(exc, ast.Name) and exc.id == "EmptyInput":
                     raises.append(f"{path.name}:{node.lineno}")
     assert len(raises) == 1, raises
-    # the stage functions trust that their word is cube-collapsed: the one
-    # cube check is the CLI's input check for check ab-whole
-    homes = {"_check_r1": set()}
+    # the stage functions trust that their word is cube-collapsed: the
+    # letter cubes are named only by r1's _R1, which collapses them
+    homes = {"aaa": set(), "bbb": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            for name in homes.keys() & _names(node):
-                homes[name].add(path.name)
-    assert homes == {"_check_r1": {"cli.py"}}
+            if isinstance(node, ast.Constant) and node.value in homes:
+                homes[node.value].add(path.name)
+    assert homes == {"aaa": {"reductions.py"}, "bbb": {"reductions.py"}}
     # the descent calls each stage by its public, traced name, so no
     # private twin of a stage can come back
     private = [
