@@ -52,7 +52,7 @@ _PER_LINE = ("one word", "two words")
 def _each(args: tuple[str | None, ...], fn: Callable[..., tuple[list[str], int]]) -> None:
     """Print fn(*words) = (lines, exit code) for the arguments or each stdin line."""
     if None not in args:
-        lines, code = fn(*map(words._check_nonempty, args))
+        lines, code = fn(*map(words.check_word, args))
         click.echo("\n".join(lines))
         sys.exit(code)
     if any(a is not None for a in args):
@@ -61,7 +61,7 @@ def _each(args: tuple[str | None, ...], fn: Callable[..., tuple[list[str], int]]
         ws = line.split()
         if len(ws) != len(args):
             raise WordError(f"expected {_PER_LINE[len(args) - 1]} per line, got {line.rstrip()!r}")
-        lines, _ = fn(*map(words._check_nonempty, ws))
+        lines, _ = fn(*map(words.check_word, ws))
         click.echo("; ".join(lines))
 
 

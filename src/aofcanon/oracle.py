@@ -92,7 +92,7 @@ def closure(
     is then partial, which is all equivalence probing needs); a stop_on that
     is not a word raises WordError.
     """
-    words._check_nonempty(seed)
+    words.check_word(seed)
     if length_bound < len(seed):
         raise ValueError(f"length bound {length_bound} below |seed| = {len(seed)}")
     x = overlap._as_int(seed)
@@ -126,18 +126,16 @@ class OracleAnswer(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-def oracle_equiv(
-    u: str, v: str, length_bound: int, step_bound: int = 1_000_000
-) -> OracleAnswer:
+def oracle_equiv(u: str, v: str, length_bound: int) -> OracleAnswer:
     """YES when the bounded closures meet; UNKNOWN otherwise, never no."""
-    words._check_nonempty(v)  # u is checked by its closure, or equals v
+    words.check_word(v)  # u is checked by its closure, or equals v
     if u == v:
         return OracleAnswer.YES
-    cu = closure(u, max(length_bound, len(u)), step_bound, stop_on=v)
+    cu = closure(u, max(length_bound, len(u)), stop_on=v)
     mu = set(cu.members)
     if v in mu:
         return OracleAnswer.YES
-    cv = closure(v, max(length_bound, len(v)), step_bound)
+    cv = closure(v, max(length_bound, len(v)))
     if mu & set(cv.members):
         return OracleAnswer.YES
     return OracleAnswer.UNKNOWN

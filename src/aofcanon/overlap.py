@@ -55,7 +55,7 @@ from .errors import WordError
 
 # a -> 0, b -> 1; every other byte -> x, which int(..., 2) rejects
 _BITS = b"x" * 97 + b"01" + b"x" * 157
-NEGATE = str.maketrans("ab", "ba")  # exchanges a and b; words.negate uses it too
+NEGATE = str.maketrans("ab", "ba")  # exchanges a and b, for words.negate and frames.frame
 # words up to this length are scanned, longer ones desubstituted first; at least 8
 _FLOOR = 4096
 

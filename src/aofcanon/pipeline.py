@@ -74,7 +74,7 @@ class PrimarySeries(NamedTuple):
 
 def ancestor(u: str, trace: bool = False) -> PrimarySeries:
     """Run the descent to its stop word."""
-    words._check_nonempty(u)
+    words.check_word(u)
     rounds: list[Round] = []
     while True:
         # A uniform word holds no letter cube, and no aabaab, bbabba or their
@@ -119,7 +119,7 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
 def normalize(w: str, series: PrimarySeries) -> tuple[str, str | None]:
     """Rebuild through a recorded descent, starting from stop word w; also
     the round word to read whole, or None once a fringe above it holds an overlap."""
-    base = words._check_nonempty(w)
+    base = words.check_word(w)
     for rnd in reversed(series.rounds[:-1]):
         w = rnd.h + words.phi(w) + rnd.t
         n = len(w)

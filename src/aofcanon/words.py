@@ -1,10 +1,11 @@
 """Basic word operations over the alphabet {a, b}.
 
 Words are plain Python strings. The functions the package root exports
-check their words and raise WordError on anything else. The stage functions
-in the modules take words over {a, b} as the descent hands them and leave
-the check to their caller, apart from the entry points `ancestor` and
-`normalize`, so the descent checks each word once, where it enters.
+check their words and raise WordError on anything else. `check_word` is the
+one entry check, for a nonempty word: the CLI, the oracle's closures and the
+descent's entry points `ancestor` and `normalize` call it, and the stage
+functions in the modules take words over {a, b} as the descent hands them,
+so the descent checks each word once, where it enters.
 """
 from __future__ import annotations
 
@@ -13,16 +14,11 @@ from . import overlap
 
 
 def check_word(w: str) -> str:
+    if w == "":
+        raise EmptyInput("empty word: a nonempty word is needed")
     if not overlap.is_word(w):
         raise WordError(f"not a word over {{a,b}}: {w[:32]!r}")
     return w
-
-
-def _check_nonempty(w: str) -> str:
-    """check_word for the operations that need a nonempty word."""
-    if w == "":
-        raise EmptyInput("empty word: a nonempty word is needed")
-    return check_word(w)
 
 
 def negate(w: str) -> str:
@@ -39,28 +35,15 @@ def phi(w: str) -> str:
     return w.encode().translate(_PHI).hex()
 
 
-def _core_offset(w: str) -> int | None:
-    """0 or 1, the offset at which w's block pairs are all ab or ba, or None.
-
-    Offset 0 is tried first, so a letter-alternating word gets 0.
-    """
-    nev = negate(w[0::2])
-    od = w[1::2]
-    if nev.startswith(od):  # pairs (w[2i], w[2i+1])
-        return 0
-    if od.startswith(nev[1:]):  # pairs (w[2i+1], w[2i+2])
-        return 1
-    return None
-
-
 def phi_inverse(w: str) -> str:
     """Unique preimage under phi. Raises WordError when none exists.
 
     Images are exactly the even-length words whose block pairs are ab or ba.
     """
-    if len(w) % 2 or _core_offset(w) != 0:
+    x = w[0::2]
+    if len(w) % 2 or negate(x) != w[1::2]:
         raise WordError(f"not a morphism image: {w[:32]!r}...")
-    return w[0::2]
+    return x
 
 
 def is_overlap_free(w: str) -> bool:

@@ -115,6 +115,85 @@ def unprotected_sites_slow(w: str) -> list[tuple[tuple[int, int], str]]:
     return out
 
 
+def _in_special_slow(w: str) -> bool:
+    """Membership in (aab)^2(aab)*(b(aab)*aab)*(baa)*(baa)^2 or its negation.
+
+    Read the word less its last two letters aa over the prefix code {aab, b}:
+    at least two blocks aab first, then groups of a b and one or more blocks.
+    """
+    for x in (w, _negate(w)):
+        if not x.endswith("aa"):
+            continue
+        body, tokens, i = x[:-2], "", 0
+        while i < len(body):
+            if body[i : i + 3] == "aab":
+                tokens, i = tokens + "k", i + 3
+            elif body[i] == "b":
+                tokens, i = tokens + "b", i + 1
+            else:
+                break
+        else:
+            if tokens[:2] == "kk" and "b" in tokens and "bb" not in tokens and tokens[-1] == "k":
+                return True
+    return False
+
+
+def _split_slow(w: str) -> tuple[str, str, str]:
+    """(h, x, t) with w == h + phi(x) + t for a uniform w: the block pairs
+    start at the parity the doubles avoid, at 0 when there is no double."""
+    parities = {i % 2 for i in range(len(w) - 1) if w[i] == w[i + 1]}
+    h = 1 - parities.pop() if parities else 0
+    core_end = h + (len(w) - h) // 2 * 2
+    core = w[h:core_end]
+    if not phi_image_slow(core):
+        raise ValueError(f"no phi-image core in {w!r}")
+    return w[:h], core[::2], w[core_end:]
+
+
+def _collapse_sites_slow(w: str) -> str:
+    """Collapse the leftmost site cXc to cc, from one double to the next
+    double of the same letter, until none is left."""
+    while True:
+        doubles = [i for i in range(len(w) - 1) if w[i] == w[i + 1]]
+        for i, k in zip(doubles, doubles[1:]):
+            if w[i] == w[k]:
+                w = w[:i] + w[i : i + 2] + w[k + 2 :]
+                break
+        else:
+            return w
+
+
+def descent_slow(w: str) -> tuple[str, list[tuple[str, str, str, str]]]:
+    """The stop word of the descent and (L, R, h, t) for each round, the last
+    one included. Each round runs the paper's steps on the slow references:
+    r1; a stop on a short or special-class word; the non-uniform tails
+    trimmed to their 7 letters next to the rest; on a word still not
+    uniform, a stop on an open site or a non-reducible tail, else its sites
+    collapsed; and the split of the uniform word left."""
+    rounds = []
+    while True:
+        u = r1_by_runs(w)
+        if len(u) <= 2 or _in_special_slow(u):
+            rounds.append(("", "", "", ""))
+            return u, rounds
+        lo, hi = 0, len(u)
+        for family, side, _, start, end in tails_slow(u):
+            if family == "nonuniform" and side == "left":
+                lo = end - 7
+            elif family == "nonuniform":
+                hi = start + 6
+        L, R = u[0] if lo else "", u[-1] if hi < len(u) else ""
+        v = u[lo:hi]
+        if not uniform_slow(v):
+            stuck = any(family == "nonreducible" for family, *_ in tails_slow(v))
+            if stuck or unprotected_sites_slow(v):
+                rounds.append((L, R, "", ""))
+                return u, rounds
+            v = _collapse_sites_slow(v)
+        h, w, t = _split_slow(v)
+        rounds.append((L, R, h, t))
+
+
 def r1_slow(w: str) -> str:
     changed = True
     while changed:

@@ -31,13 +31,6 @@ def test_frame_rejects_non_uniform():
     assert frames.frame("aabaabb") is None
 
 
-def test_frame_core_check_survives_optimisation(monkeypatch):
-    # the block-pair offset is the uniformity check: an explicit answer, not
-    # an assert, so it also holds under python -O
-    monkeypatch.setattr(words, "_core_offset", lambda w: None)
-    assert frames.frame("abba") is None
-
-
 def test_frame_matches_slow_exhaustive():
     for w in slow.words_up_to(16, min_len=0):
         if not slow.uniform_slow(w):
@@ -45,6 +38,29 @@ def test_frame_matches_slow_exhaustive():
             continue
         h, x, t = frames.frame(w)
         assert h + words.phi(x) + t == w, w
+
+
+def test_frame_long_words_at_both_offsets_and_parities():
+    # the pre-image is a prefix of the even or the odd letters, whichever
+    # start at the offset; in the last two words only the final pair of
+    # letters is a double at the wrong parity, so frame reads to the end
+    t = slow.thue_morse(2**15)
+    c = words.negate(t[0])
+    cases = [
+        (t, ""),
+        (t[:-1], ""),
+        (c + t, c),
+        (c + t[:-1], c),
+        (t[:-1] + t[-2], None),
+        (c + t[:-1] + t[-2], None),
+    ]
+    for u, h in cases:
+        assert slow.uniform_slow(u) == (h is not None), len(u)
+        f = frames.frame(u)
+        if h is None:
+            assert f is None, len(u)
+            continue
+        assert f[0] == h and f[0] + words.phi(f[1]) + f[2] == u, len(u)
 
 
 @given(st.text(alphabet="ab", max_size=400))

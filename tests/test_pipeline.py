@@ -512,3 +512,11 @@ def test_class_walks_decide_equiv():
             cu, cv = pipeline.eqaof(u), pipeline.eqaof(v)
             got = pipeline.decide_equiv(slow.class_walk(u, rng, 8), slow.class_walk(v, rng, 8))
             assert (got == Verdict.EQUIVALENT) == (cu is not None and cu == cv), (u, v)
+
+
+def test_descent_matches_slow_reference_exhaustive():
+    # the composed stages against the paper's steps on the slow references
+    for w in slow.words_up_to(14):
+        series = pipeline.ancestor(w)
+        rounds = [(r.L, r.R, r.h, r.t) for r in series.rounds]
+        assert (series.anc, rounds) == slow.descent_slow(w), w

@@ -4,12 +4,13 @@ The benchmark's traced run names layer functions that must keep existing
 and that the descent must reach by those names, the slow references must
 stay independent of the package they check, the package's modules must
 import each other without cycles, importing the package must load none of
-the standard library's code-inspection modules, the package's invariants
-must raise rather than assert, the CLI must run no pipeline stage of its
-own, the descent must leave the morphism pull-back to `frame`, the overlap
-test at a word's fringes must have one home, the package root must export
-only its checked entry points, and the README's command table must list the
-commands the CLI has and its examples must run as shown.
+the standard library's code-inspection modules, the modules must share only
+the private names their notes explain, the package's invariants must raise
+rather than assert, the CLI must run no pipeline stage of its own, the
+descent must leave the morphism pull-back to `frame`, the overlap test at a
+word's fringes must have one home, the package root must export only its
+checked entry points, and the README's command table must list the commands
+the CLI has and its examples must run as shown.
 """
 from __future__ import annotations
 
@@ -151,6 +152,37 @@ def test_import_loads_no_code_inspection_modules():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]", out
+
+
+def test_modules_share_only_named_internals():
+    # a private name is its module's own business; the few another module
+    # reaches for are each explained in that module's note
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    shared = set()
+    for mod in sorted(modules):
+        tree = ast.parse((PACKAGE / f"{mod}.py").read_text())
+        local = {}  # the names this module binds to other package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        local[alias.asname or alias.name] = alias.name
+                    elif node.module in modules and alias.name.startswith("_"):
+                        shared.add((mod, f"{node.module}.{alias.name}"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in local
+                and node.attr.startswith("_")
+            ):
+                shared.add((mod, f"{local[node.value.id]}.{node.attr}"))
+    assert shared == {
+        ("cli", "pipeline._form"),
+        ("oracle", "overlap._as_int"),
+        ("pipeline", "overlap._FLOOR"),
+        ("reductions", "overlap._FLOOR"),
+    }, sorted(shared)
 
 
 def test_no_assert_in_package():

@@ -17,7 +17,7 @@ ab_words = st.text(alphabet="ab", max_size=200)
 
 
 @pytest.mark.parametrize(
-    "bad", ["abc", "A", "a b", "ab\n", "1", "aé", "ａｂ", "á", "\udcff", "ab\x00"]
+    "bad", ["", "abc", "A", "a b", "ab\n", "1", "aé", "ａｂ", "á", "\udcff", "ab\x00"]
 )
 def test_check_word_rejects(bad):
     with pytest.raises(WordError):
@@ -65,12 +65,6 @@ def test_overlap_predicates_reject_long_non_words():
         for predicate in (words.is_overlap_free, words.is_almost_overlap_free):
             with pytest.raises(WordError):
                 predicate(bad)
-
-
-def test_check_word_accepts_lambda():
-    # the library accepts the empty word; only the CLI refuses it
-    assert words.check_word("") == ""
-    assert words.check_word("abba") == "abba"
 
 
 @given(ab_words)
