@@ -11,15 +11,17 @@ round leaves one `Round` on the tape: its tail reports, the boundary letters
 trimming dropped and the fringe letters `frame` split off. The descent stops
 on a short word, an exceptional class, or a site unsafe to collapse.
 
-The rebuild runs the same tape backwards from a replacement stop word,
-and from the stop word's class representative it builds the class's unique
-almost overlap-free member, if there is one. Each round word is x phi(u) y,
-with x = L+h, y = t+R and u the round below, unless a letter-for-letter
-cube YYY appeared and was collapsed to YY. So it has an overlap exactly
-when u has one or one meets x or y (the `overlap` note), and the rebuild
-tests the fringes as it goes, down to one word left to read whole: the
-highest round word of at most `overlap._FLOOR` letters, or the highest
-that collapsed a cube.
+The rebuild runs the same tape backwards from a replacement stop word, and
+from the stop word's class representative it builds the class's unique
+almost overlap-free member, if there is one. Each round word is
+x phi(u) y, with x = L+h, y = t+R and u the round below, unless a
+letter-for-letter cube YYY appeared and was collapsed to YY. The descent
+keeps the words of the rounds that ran unchanged down to the stop word,
+and h phi(u) t is taken back from them whenever u is the word kept below.
+A round word has an overlap exactly when u has one or one meets x or y
+(the `overlap` note), and the rebuild tests the fringes as it goes, down
+to one word left to read whole: the highest round word of at most
+`overlap._FLOOR` letters, or the highest that collapsed a cube.
 
 `_form` is that whole path in one call. `eqaof` returns its rebuilt word
 when the final check passes, and the CLI's `explain` prints its rounds, one
@@ -44,25 +46,28 @@ from .reductions import (
 
 
 class Round:
-    """One descent round, filled in as it runs; word is kept only when tracing.
+    """One descent round, filled in as it runs; word is recorded only when tracing.
 
     tails are the non-uniform tails the round trims and, on a round that
     stops there, the non-reducible tail left after trimming, all spanned on
     the round word. L/R are the boundary letters trimming drops, h/t the
-    fringe letters `frame` splits off.
+    fringe letters `frame` splits off. kept is the word the round was handed
+    if it and every round below ran on their words unchanged: `frame` split
+    it as handed, or r1 returned the stop word as handed.
     """
 
-    __slots__ = ("word", "tails", "L", "R", "h", "t")
+    __slots__ = ("word", "tails", "L", "R", "h", "t", "kept")
 
-    def __init__(self, word: str | None) -> None:
-        self.word = word
+    def __init__(self, word: str | None, kept: str | None = None) -> None:
+        self.word, self.kept = word, kept
         self.tails: list[Tail] = []
         self.L = self.R = self.h = self.t = ""
 
 
 class PrimarySeries(NamedTuple):
     """Record of one descent: its stop word and one Round per round, which the
-    rebuild reads back in reverse, all but the final one."""
+    rebuild reads back in reverse, all but the final one, taking back a
+    round's kept word when the word rebuilt below is the one kept below."""
 
     anc: str
     rounds: list[Round]
@@ -83,9 +88,10 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
         # in_special_class and tail_reduce would pass a uniform word through
         # unchanged, and frame alone makes its round.
         f = frame(u) if len(u) > 2 else None
+        handed = u
         if f is None:
             n, u = len(u), r1(u)
-        rnd = Round(u if trace else None)
+        rnd = Round(u if trace else None, handed)
         rounds.append(rnd)
         if f is None:
             if len(u) <= 2 or in_special_class(u):
@@ -109,10 +115,15 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
                 if f is None:
                     raise RuntimeError(f"complete_reduction left a non-uniform word from {up[:32]!r}")
             del up
+            for r in rounds:  # this round changed its word, so the rebuild takes none back above it
+                r.kept = None
         rnd.h, x, rnd.t = f
         if 2 * len(x) > len(u):
             raise RuntimeError(f"pre-image of length {len(x)} is over half of {len(u)}")
         u = x
+    if u is not handed:  # r1 collapsed a cube in the stop word
+        for r in rounds:
+            r.kept = None
     return PrimarySeries(u, rounds)
 
 
@@ -120,8 +131,9 @@ def normalize(w: str, series: PrimarySeries) -> tuple[str, str | None]:
     """Rebuild through a recorded descent, starting from stop word w; also
     the round word to read whole, or None once a fringe above it holds an overlap."""
     base = words.check_word(w)
-    for rnd in reversed(series.rounds[:-1]):
-        w = rnd.h + words.phi(w) + rnd.t
+    for rnd, below in zip(reversed(series.rounds[:-1]), reversed(series.rounds)):
+        # h phi(x) t is the word a round kept when x is the word kept below it
+        w = rnd.kept if rnd.kept is not None and w == below.kept else rnd.h + words.phi(w) + rnd.t
         n = len(w)
         # YYY, tested against its last third alone
         cube = n % 3 == 0 and w.startswith(y := w[2 * n // 3 :]) and w.startswith(y, n // 3)

@@ -194,6 +194,20 @@ def descent_slow(w: str) -> tuple[str, list[tuple[str, str, str, str]]]:
         rounds.append((L, R, h, t))
 
 
+def rebuild_slow(rep: str, tape: list[tuple[str, str, str, str]]) -> str:
+    """The word rebuilt from rep through a descent's (L, R, h, t) rounds, as
+    descent_slow returns them: every round but the last, bottom up, makes
+    h phi(w) t, collapses it to YY if it is a cube YYY, and adds L and R."""
+    w = rep
+    for L, R, h, t in reversed(tape[:-1]):
+        w = h + "".join("ab" if c == "a" else "ba" for c in w) + t
+        y = w[: len(w) // 3]
+        if len(w) % 3 == 0 and w == y + y + y:
+            w = y + y
+        w = L + w + R
+    return w
+
+
 def r1_slow(w: str) -> str:
     changed = True
     while changed:

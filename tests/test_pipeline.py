@@ -37,12 +37,16 @@ def test_ancestor_frozen_trace():
 
 
 def test_ancestor_without_trace_has_no_series():
-    # the round records keep everything but the round words themselves
+    # the round records keep everything but the traced round words; kept, the
+    # word the rebuild takes back, is there either way, but only on rounds that
+    # ran on their words unchanged with every round below them: here the first
+    # round trims its word, and the two below pass theirs through
     s = pipeline.ancestor("aabaabbabb")
     traced = pipeline.ancestor("aabaabbabb", trace=True)
     assert [r.word for r in s.rounds] == [None] * 3
-    assert [(r.tails, r.L, r.R, r.h, r.t) for r in s.rounds] == [
-        (r.tails, r.L, r.R, r.h, r.t) for r in traced.rounds
+    assert [r.kept for r in s.rounds] == [None, "bab", "b"]
+    assert [(r.tails, r.L, r.R, r.h, r.t, r.kept) for r in s.rounds] == [
+        (r.tails, r.L, r.R, r.h, r.t, r.kept) for r in traced.rounds
     ]
 
 
@@ -56,7 +60,7 @@ def test_records_are_frozen_and_round_is_slotted():
         with pytest.raises(AttributeError):
             setattr(rec, type(rec)._fields[0], None)
     rnd = s.rounds[0]
-    for slot in ("word", "tails", "L", "R", "h", "t"):
+    for slot in ("word", "tails", "L", "R", "h", "t", "kept"):
         setattr(rnd, slot, getattr(rnd, slot))
     with pytest.raises(AttributeError):
         rnd.seen = 1
@@ -520,3 +524,12 @@ def test_descent_matches_slow_reference_exhaustive():
         series = pipeline.ancestor(w)
         rounds = [(r.L, r.R, r.h, r.t) for r in series.rounds]
         assert (series.anc, rounds) == slow.descent_slow(w), w
+
+
+def test_rebuild_matches_slow_reference_exhaustive():
+    # the rebuild, with the words it takes back, against h phi(w) t, YYY -> YY
+    # and L/R applied by definition over the slow descent's tape
+    for w in slow.words_up_to(14):
+        series = pipeline.ancestor(w)
+        rep = classes.match_S(series.anc) or series.anc
+        assert pipeline.normalize(rep, series)[0] == slow.rebuild_slow(rep, slow.descent_slow(w)[1]), w

@@ -54,6 +54,7 @@ _FAMILIES = {
         lambda n: 14 * ((n - 2) // 14) + 2,
     ),
     "planted Thue-Morse": (lambda: _planted_tm(LARGE), lambda n: n),
+    "Thue-Morse": (lambda: slow.thue_morse(LARGE), lambda n: n),
 }
 
 
@@ -100,3 +101,13 @@ def test_letters_per_stage_stay_flat(monkeypatch, family):
     assert not grew
     for counts in small, large:
         assert sum(counts[k] for k in _FLOOR_SPLIT) < 2
+
+
+@pytest.mark.parametrize("n", [SMALL, LARGE])
+def test_thue_morse_prefix_is_taken_back_whole(monkeypatch, n):
+    # every round of a Thue-Morse prefix is uniform and its stop word is its
+    # own representative, so the rebuild takes back each round word the
+    # descent passed through and hands phi no letter
+    w = slow.thue_morse(n)
+    assert _letters_per_stage(monkeypatch, w)["phi"] == 0
+    assert pipeline.eqaof(w) is w
