@@ -2,7 +2,7 @@
 
 Ground truth for the fast pipeline, at small scale only. The closure of a
 word under both rewrite directions inside a length budget gives a partial
-view of its equivalence class: intersection proves equivalence, and nothing
+view of its equivalence class: membership proves equivalence, and nothing
 here ever proves inequivalence.
 
 A word is held as the integer `overlap._as_int` reads: a leading sentinel
@@ -127,18 +127,17 @@ class OracleAnswer(Enum):
 
 
 def oracle_equiv(u: str, v: str, length_bound: int) -> OracleAnswer:
-    """YES when the bounded closures meet; UNKNOWN otherwise, never no."""
+    """YES when v is reachable from u through words of at most
+    max(length_bound, len(u), len(v)) letters; UNKNOWN otherwise, never no.
+
+    Each rewrite inside the bound is undone by one inside it, so closures
+    from u and from v under that bound meet exactly when this one reaches v.
+    """
     words.check_word(v)  # u is checked by its closure, or equals v
     if u == v:
         return OracleAnswer.YES
-    cu = closure(u, max(length_bound, len(u)), stop_on=v)
-    mu = set(cu.members)
-    if v in mu:
-        return OracleAnswer.YES
-    cv = closure(v, max(length_bound, len(v)))
-    if mu & set(cv.members):
-        return OracleAnswer.YES
-    return OracleAnswer.UNKNOWN
+    cu = closure(u, max(length_bound, len(u), len(v)), stop_on=v)
+    return OracleAnswer.YES if v in cu.members else OracleAnswer.UNKNOWN
 
 
 def enumerate_aof(max_len: int) -> list[str]:

@@ -3,8 +3,8 @@
 Three layers, matching the structure of the rewriting system:
 
   r1                 collapse every run of a single letter to length 2
-  complete_reduction additionally collapse aXa -> aa and bXb -> bb sites
-                     (X letter-alternating of odd length) until none remain
+  complete_reduction collapse aXa -> aa and bXb -> bb sites (X
+                     letter-alternating of odd length) until none remain
   tail_reduce        find the two non-uniform boundary patterns that block
                      equivalence-preserving reduction at the word ends, and
                      the bounds of the word left once each is trimmed
@@ -22,8 +22,8 @@ three `long-tm-planted` seeds (58.8 M letters) in 80 ms against 170 ms for
 `str.find`, and was never slower on eight 2^20-letter families. That speed
 belongs to CPython's string search: on another interpreter, measure again.
 The descent calls r1 only on a round word that `frame` finds not uniform.
-The functions past r1 take a cube-collapsed word, as r1 returns it or as a
-uniform word is, and do not check it again.
+The functions past r1, complete_reduction among them, take a cube-collapsed
+word, as r1 returns it or as a uniform word is, and do not check it again.
 
 In a cube-collapsed word a site is a pair of consecutive doubles of one
 letter, so sites come in maximal runs of same-letter doubles. Inside a run
@@ -94,36 +94,22 @@ def _open_sites(w: str):
             yield m.span(1)
 
 
-def find_whole_violations(w: str) -> list[tuple[tuple[int, int], str]]:
-    """Unprotected aXa / bXb occurrences in a cube-collapsed word.
-
-    Returns ((start, end), letterClass) per violation, left to right. An
-    occurrence is protected when wrapped as ab...ba (class A) or ba...ab
-    (class B); only protected sites can be collapsed without changing the
-    equivalence class in general.
-    """
-    n = len(w)
-    spans = set(_open_sites(w))  # a one-site run open at both ends counts once
-    spans.update((n - e, n - s) for s, e in _open_sites(w[::-1]))
-    return [((s + 1, e), "A" if w[s] == "a" else "B") for s, e in sorted(spans)]
-
-
 def is_ab_whole(w: str) -> bool:
     """True when every aXa / bXb occurrence is wrapped ab...ba / ba...ab."""
     return next(_open_sites(w), None) is None and next(_open_sites(w[::-1]), None) is None
 
 
 def complete_reduction(w: str) -> str:
-    """Fixpoint of the cube collapse plus the aXa/bXb collapse, any input.
+    """Fixpoint of the aXa/bXb collapse on a cube-collapsed word.
 
-    After r1 a site is a pair of consecutive doubles of one letter, and
+    There a site is a pair of consecutive doubles of one letter, and
     collapsing it keeps the first double and makes no cube. So the fixpoint
     (order-independent, property-tested) keeps the first double of each
     maximal run of same-letter doubles: one substitution per letter. Its
     consecutive doubles differ in letter, so sit at even distance, and it
-    is uniform. Uniform words are fixpoints and hold no letter cube.
+    is uniform. Uniform words are fixpoints.
     """
-    return _RUN_B.sub("bb", _RUN_A.sub("aa", r1(w)))
+    return _RUN_B.sub("bb", _RUN_A.sub("aa", w))
 
 
 class Tail(NamedTuple):

@@ -72,7 +72,7 @@ def test_frame_matches_uniform_slow_random(w):
 @given(st.text(alphabet="ab", max_size=150))
 @settings(max_examples=300)
 def test_frame_reassembly(w):
-    u = reductions.complete_reduction(w)
+    u = reductions.complete_reduction(reductions.r1(w))
     h, x, t = frames.frame(u)
     assert h + words.phi(x) + t == u
     assert len(h) <= 1 and len(t) <= 1
@@ -89,6 +89,6 @@ def test_frame_of_exact_images(x):
 @settings(max_examples=200)
 def test_xi_wraps_with_negated_fringe(w):
     # the negated fringe letters complete U's fringe into blocks of its core
-    u = reductions.complete_reduction(w)
+    u = reductions.complete_reduction(reductions.r1(w))
     h, _, t = frames.frame(u)
     assert frames.frame(words.negate(h) + u + words.negate(t)) is not None

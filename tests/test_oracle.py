@@ -167,6 +167,8 @@ def test_oracle_equiv_checks_each_word_once(monkeypatch):
     monkeypatch.setattr(words, "check_word", lambda w: checked.append(w) or original(w))
     oracle.oracle_equiv("aab", "aabb", 8)
     assert checked.count("aab") == 1
+    # one closure, from u: v is checked once, and never seeds a closure
+    assert checked.count("aabb") == 1
 
 
 def test_enumerate_aof_matches_slow():
