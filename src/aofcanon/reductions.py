@@ -9,14 +9,19 @@ Three layers, matching the structure of the rewriting system:
                      equivalence-preserving reduction at the word ends, and
                      the bounds of the word left once each is trimmed
 
-r1 rebuilds the runs of a letter only when the word holds that letter's
-cube, so a cube-collapsed word costs two substring searches and no copy.
-It searches right to left: the last cube ends its run, a search for the
-other letter left of it finds the run's start, and the run keeps its first
-two letters. Searches scan more than twice as fast as the substitution,
-but a long word can hold a cube every few letters, so r1 cuts at most one
-run per `overlap._FLOOR` letters this way, the last ones, and hands the
-word left of them to the substitution in one piece. Right to left, because
+r1 rebuilds the word only when it holds a letter cube, so a cube-collapsed
+word costs two substring searches and no copy. It searches right to left,
+both letters in one pass: it keeps each letter's last cube, cuts the run of
+whichever lies further right, and searches again for that letter alone, so
+each letter's search reads the word once. The last cube ends its run, a
+search for the other letter left of it finds the run's start, and the run
+keeps its first two letters. Searches scan more than twice as fast as the
+substitution, but a long word can hold a cube every few letters, so r1 cuts
+at most one run per `overlap._FLOOR` letters this way, the last ones, and
+hands the word left of them to the substitution, one letter after the other.
+All pieces go to one join, so beside the word it was handed r1 holds two
+copies of it at most, its pieces and their join, outside the substitution
+itself; a join per letter held three. Right to left, because
 CPython 3.11's `str.rfind` found every cube of the 298 words r1 gets on
 three `long-tm-planted` seeds (58.8 M letters) in 80 ms against 170 ms for
 `str.find`, and was never slower on eight 2^20-letter families. That speed
@@ -44,32 +49,42 @@ from typing import NamedTuple
 
 from . import overlap
 
-# per letter: its cube, the other letter, and its runs of 3 or more
-_R1 = ("aaa", "b", re.compile(r"aaa+")), ("bbb", "a", re.compile(r"bbb+"))
+# runs of 3 or more of each letter
+_CUBE_RUN_A = re.compile(r"aaa+")
+_CUBE_RUN_B = re.compile(r"bbb+")
 
 
 def r1(w: str) -> str:
     """Collapse every maximal single-letter run of length 3 or more to 2.
 
-    A letter with no cube costs one substring search and no rebuild. Its
+    A word with no cube costs two substring searches and no rebuild. Its
     last len(w) // overlap._FLOOR runs with a cube cost two searches each,
-    right to left; the substitution takes the word left of them in one piece.
+    right to left; the substitution takes the word left of them, one letter
+    after the other.
     """
-    runs = len(w) // overlap._FLOOR
-    for cube, other, rx in _R1:
-        k = w.rfind(cube)
-        if k < 0:
-            continue  # no copy
-        parts, end = [], len(w)
-        while k >= 0 and len(parts) < runs:
-            # k is the run's last cube; end becomes its start plus two
-            parts.append(w[k + 3 : end])
-            end = w.rfind(other, 0, k) + 3
-            k = w.rfind(cube, 0, end - 2)
-        parts.append(rx.sub(cube[:2], w[:end]) if k >= 0 else w[:end])
-        parts.reverse()
-        w = "".join(parts)
-    return w
+    ka, kb = w.rfind("aaa"), w.rfind("bbb")
+    if ka == kb:  # both -1: no cube, no copy
+        return w
+    runs, parts, end = len(w) // overlap._FLOOR, [], len(w)
+    while runs and ka != kb:
+        runs -= 1
+        # the later of the two last cubes ends its run; end becomes the run's start plus two
+        if ka > kb:
+            parts.append(w[ka + 3 : end])
+            end = w.rfind("b", 0, ka) + 3
+            ka = w.rfind("aaa", 0, end - 2)
+        else:
+            parts.append(w[kb + 3 : end])
+            end = w.rfind("a", 0, kb) + 3
+            kb = w.rfind("bbb", 0, end - 2)
+    head = w[:end]
+    if ka >= 0:
+        head = _CUBE_RUN_A.sub("aa", head)
+    if kb >= 0:
+        head = _CUBE_RUN_B.sub("bb", head)
+    parts.append(head)
+    parts.reverse()
+    return "".join(parts)
 
 
 # Maximal runs of consecutive a-doubles (b-doubles), each pair an aXa (bXb)

@@ -1,6 +1,8 @@
 """Fringe splitting of uniform words."""
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +63,33 @@ def test_frame_long_words_at_both_offsets_and_parities():
             assert f is None, len(u)
             continue
         assert f[0] == h and f[0] + words.phi(f[1]) + f[2] == u, len(u)
+
+
+def test_frame_block_edges_at_both_offsets_and_parities():
+    # frame compares a block of pairs at a time; each word's halves span
+    # four blocks, and making one block's first or last pair a double at the
+    # word's own offset, the only such pair, makes the word not uniform
+    b = frames._BLOCK
+    t = slow.thue_morse(8 * b)
+    c = words.negate(t[0])
+    for h in "", c:
+        for u in h + t, h + t[:-1]:
+            assert slow.uniform_slow(u), (h, len(u))
+            f = frames.frame(u)
+            assert f[0] == h and h + words.phi(f[1]) + f[2] == u, (h, len(u))
+            last = (len(u) - len(h)) // 2 - 1
+            for i in 0, b - 1, b, 2 * b - 1, 2 * b, 3 * b - 1, 3 * b, last:
+                # the pair (u[|h|+2i], u[|h|+2i+1]) becomes a double
+                k = len(h) + 2 * i + 1
+                v = u[:k] + u[k - 1] + u[k + 1 :]
+                assert not slow.uniform_slow(v), (h, len(u), i)
+                assert frames.frame(v) is None, (h, len(u), i)
+
+
+def test_frame_rejects_a_long_random_word():
+    w = "".join(random.Random(20).choices("ab", k=1 << 20))
+    assert not slow.uniform_slow(w)
+    assert frames.frame(w) is None
 
 
 @given(st.text(alphabet="ab", max_size=400))

@@ -136,6 +136,43 @@ def test_r1_more_cubes_than_it_cuts_one_by_one(w):
     assert reductions.r1(w) == slow.r1_by_runs(w)
 
 
+def _planted(base: str, letters: str) -> str:
+    """base with a cube of each of the letters planted, evenly spaced."""
+    step = len(base) // (len(letters) + 1)
+    pieces = [base[i * step : (i + 1) * step] + c * 3 for i, c in enumerate(letters)]
+    return "".join(pieces) + base[len(letters) * step :]
+
+
+# r1 cuts the last len(w) // overlap._FLOOR runs with a cube, of either
+# letter, and substitutes the word left of them one letter after the other:
+# runs of both letters interleave past that count, so the cut loop stops
+# with cubes of one letter or of both left for the substitution
+@pytest.mark.parametrize("base", [_F, _TM], ids=["2-cuts", "8-cuts"])
+@pytest.mark.parametrize(
+    "letters", ["ab" * 6, "ba" * 6, "aabb" * 3, "abbbbbaaaaab", "aaaaabbbbbbb", "bbbbbbbbbaba"]
+)
+def test_r1_cut_loop_stops_between_letters(base, letters):
+    w = _planted(base, letters)
+    # the letter of each run with a cube, left to right
+    assert "".join(m.group()[0] for m in re.finditer(r"a{3,}|b{3,}", w)) == letters
+    assert len(letters) > len(w) // overlap._FLOOR
+    got = reductions.r1(w)
+    assert got == slow.r1_by_runs(w)
+    assert reductions.r1(got) is got
+
+
+# the later of the two letters' last cubes is cut first, so the letter cut
+# changes from one run to the next; the first cube starts the word, and is
+# cut one by one (8 cuts) or substituted (2 cuts)
+@pytest.mark.parametrize("base", [_F, _TM], ids=["2-cuts", "8-cuts"])
+@pytest.mark.parametrize("first", "ab")
+@pytest.mark.parametrize("last", "ab")
+def test_r1_rightmost_cube_of_each_letter_in_turn(base, first, last):
+    w = first * 3 + _planted(base, "abba") + last * 3
+    assert w.startswith(first * 3) and w.endswith(last * 3)
+    assert reductions.r1(w) == slow.r1_by_runs(w)
+
+
 @pytest.mark.parametrize("w", ["abaabbab", _TM])
 def test_r1_returns_a_cube_free_word_itself(w):
     # no copy: the descent calls r1 on every non-uniform round

@@ -1,14 +1,17 @@
-"""Linear time as an exact count: the letters handed to each stage per input letter.
+"""Linear time and memory as exact counts, per input letter.
 
 Each stage gets a counting wrapper that adds up the length of its first
 argument over one `eqaof`. A stage that reads its word a bounded number of
 times then reads that many letters, so a count per input letter that stays
 flat from 2^14 to 2^20 letters says the work grows linearly, on a measure
-that does not drift with the machine the way `test_09`'s timings do.
+that does not drift with the machine the way `test_09`'s timings do. The
+memory a call allocates on top of its input is counted in bytes by
+`tracemalloc`, which is as exact.
 """
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -111,3 +114,30 @@ def test_thue_morse_prefix_is_taken_back_whole(monkeypatch, n):
     w = slow.thue_morse(n)
     assert _letters_per_stage(monkeypatch, w)["phi"] == 0
     assert pipeline.eqaof(w) is w
+
+
+# bytes per input letter that a call may hold at its peak on top of its
+# input, at LARGE letters: a descent round holds at most two copies of its
+# word, r1's pieces and their join, or r1's result and frame's two slices,
+# and a few short blocks
+_PEAK_BYTES_PER_LETTER = {
+    ("planted Thue-Morse", "ancestor"): 2.1,
+    ("planted Thue-Morse", "eqaof"): 2.35,
+    ("Thue-Morse", "eqaof"): 1.1,
+}
+
+
+@pytest.mark.parametrize(("family", "stage"), list(_PEAK_BYTES_PER_LETTER))
+def test_peak_bytes_per_letter(family, stage):
+    make, cut = _FAMILIES[family]
+    w = make()[: cut(LARGE)]
+    call = getattr(pipeline, stage)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call(w)
+        per_letter = (tracemalloc.get_traced_memory()[1] - held) / len(w)
+    finally:
+        tracemalloc.stop()
+    assert per_letter <= _PEAK_BYTES_PER_LETTER[family, stage]

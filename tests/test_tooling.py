@@ -336,7 +336,7 @@ def test_one_home_per_input_check():
                     raises.append(f"{path.name}:{node.lineno}")
     assert len(raises) == 1, raises
     # the stage functions trust that their word is cube-collapsed: the
-    # letter cubes are named only by r1's _R1, which collapses them
+    # letter cubes are named only by r1, which collapses them
     homes = {"aaa": set(), "bbb": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
