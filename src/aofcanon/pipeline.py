@@ -89,8 +89,8 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
         # unchanged, and frame alone makes its round.
         f = frame(u) if len(u) > 2 else None
         handed = u
-        if f is None:
-            n, u = len(u), r1(u)
+        if type(f) is not tuple:  # not uniform: r1 searches frame's windows, if it found any
+            u, f = r1(u, f), None
         rnd = Round(u if trace else None, handed)
         rounds.append(rnd)
         if f is None:
@@ -101,9 +101,10 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
             # exactly when that side has a tail
             rnd.L, rnd.R = u[0] if lo else "", u[-1] if hi < len(u) else ""
             up = u[lo:hi]
-            # r1 and trimming only shorten, so at n letters up is the word frame just rejected
-            f = frame(up) if len(up) < n else None
-            if f is None:
+            # r1 and trimming hand back the word itself when they change nothing, so
+            # up is the word frame just rejected unless it is a new one
+            f = frame(up) if up is not handed else None
+            if type(f) is not tuple:
                 # the pre-trim word stops unless the trimmed one collapses cleanly
                 if not is_ab_whole(up):
                     break
@@ -112,7 +113,7 @@ def ancestor(u: str, trace: bool = False) -> PrimarySeries:
                     rnd.tails.extend(tl._replace(start=tl.start + lo, end=tl.end + lo) for tl in stuck)
                     break
                 f = frame(complete_reduction(up))
-                if f is None:
+                if type(f) is not tuple:
                     raise RuntimeError(f"complete_reduction left a non-uniform word from {up[:32]!r}")
             del up
             for r in rounds:  # this round changed its word, so the rebuild takes none back above it

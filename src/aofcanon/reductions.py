@@ -26,7 +26,10 @@ CPython 3.11's `str.rfind` found every cube of the 298 words r1 gets on
 three `long-tm-planted` seeds (58.8 M letters) in 80 ms against 170 ms for
 `str.find`, and was never slower on eight 2^20-letter families. That speed
 belongs to CPython's string search: on another interpreter, measure again.
-The descent calls r1 only on a round word that `frame` finds not uniform.
+The descent calls r1 only on a round word that `frame` finds not uniform,
+and hands it the windows `frame` found, the few stretches where a cube can
+be: r1 then searches inside them alone, and the letters between them go to
+the join as they are.
 The functions past r1, complete_reduction among them, take a cube-collapsed
 word, as r1 returns it or as a uniform word is, and do not check it again.
 
@@ -54,33 +57,45 @@ _CUBE_RUN_A = re.compile(r"aaa+")
 _CUBE_RUN_B = re.compile(r"bbb+")
 
 
-def r1(w: str) -> str:
+def r1(w: str, windows: list | None = None) -> str:
     """Collapse every maximal single-letter run of length 3 or more to 2.
 
-    A word with no cube costs two substring searches and no rebuild. Its
-    last len(w) // overlap._FLOOR runs with a cube cost two searches each,
-    right to left; the substitution takes the word left of them, one letter
-    after the other.
+    windows, as `frames.frame` answers them, are [start, end) letter spans
+    that hold every such run whole; given them, r1 searches them alone. A
+    word with no cube costs two substring searches and no rebuild. Its last
+    len(w) // overlap._FLOOR runs with a cube cost two searches each, right
+    to left; the substitution takes the word left of them, one letter after
+    the other.
     """
-    ka, kb = w.rfind("aaa"), w.rfind("bbb")
-    if ka == kb:  # both -1: no cube, no copy
-        return w
-    runs, parts, end = len(w) // overlap._FLOOR, [], len(w)
-    while runs and ka != kb:
-        runs -= 1
-        # the later of the two last cubes ends its run; end becomes the run's start plus two
-        if ka > kb:
-            parts.append(w[ka + 3 : end])
-            end = w.rfind("b", 0, ka) + 3
-            ka = w.rfind("aaa", 0, end - 2)
-        else:
-            parts.append(w[kb + 3 : end])
-            end = w.rfind("a", 0, kb) + 3
-            kb = w.rfind("bbb", 0, end - 2)
+    ka = kb = -1
+    if windows is None:
+        ka, kb = w.rfind("aaa"), w.rfind("bbb")
+        if ka == kb:  # both -1: no cube, no copy
+            return w
+        windows = ()
+    runs, parts, end, lo, rest = len(w) // overlap._FLOOR, [], len(w), 0, list(windows)
+    while True:
+        while runs and ka != kb:
+            runs -= 1
+            # the later of the two last cubes ends its run; end becomes the run's start plus two
+            if ka > kb:
+                parts.append(w[ka + 3 : end])
+                end = w.rfind("b", 0, ka) + 3
+                ka = w.rfind("aaa", lo, end - 2)
+            else:
+                parts.append(w[kb + 3 : end])
+                end = w.rfind("a", 0, kb) + 3
+                kb = w.rfind("bbb", lo, end - 2)
+        if ka != kb or not rest:
+            break
+        # no cube left in this window: search the next one to the left
+        lo, hi = rest.pop()
+        ka, kb = w.rfind("aaa", lo, hi), w.rfind("bbb", lo, hi)
     head = w[:end]
-    if ka >= 0:
+    # out of runs, the substitution takes the rest; the windows still in rest were not searched
+    if ka >= 0 or rest:
         head = _CUBE_RUN_A.sub("aa", head)
-    if kb >= 0:
+    if kb >= 0 or rest:
         head = _CUBE_RUN_B.sub("bb", head)
     parts.append(head)
     parts.reverse()
@@ -99,19 +114,15 @@ _OPEN_B = re.compile(r"aa(bba(?:ba)*+bb)")
 _OPEN_START = re.compile(r"b?(aab(?:ab)*+aa)|a?(bba(?:ba)*+bb)")
 
 
-def _open_sites(w: str):
-    """Yield the 0-indexed half-open span of each site of w open on the left."""
-    m = _OPEN_START.match(w)
-    if m:
-        yield m.span(m.lastindex)
-    for rx in _OPEN_A, _OPEN_B:
-        for m in rx.finditer(w):
-            yield m.span(1)
+def _open_site(w: str):
+    """The match of the first site of w open on the left, or None; the
+    site's span is that of the match's last group."""
+    return _OPEN_START.match(w) or _OPEN_A.search(w) or _OPEN_B.search(w)
 
 
 def is_ab_whole(w: str) -> bool:
     """True when every aXa / bXb occurrence is wrapped ab...ba / ba...ab."""
-    return next(_open_sites(w), None) is None and next(_open_sites(w[::-1]), None) is None
+    return not (_open_site(w) or _open_site(w[::-1]))
 
 
 def complete_reduction(w: str) -> str:
@@ -173,8 +184,7 @@ def _detect(w: str, family: str) -> list[Tail]:
     m = _LEFT[family](w)
     if m:
         out.append(Tail("left", w[0].upper(), family, 1, m.end()))
-    m = _LEFT[family](w[::-1]) if w.endswith(_RIGHT_END[family]) else None
-    if m:
+    if w.endswith(_RIGHT_END[family]) and (m := _LEFT[family](w[::-1])):
         out.append(Tail("right", w[-1].upper(), family, len(w) - m.end() + 1, len(w)))
     return out
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aofcanon import classes, overlap, pipeline, words
+from aofcanon import classes, frames, overlap, pipeline, words
 from aofcanon.classes import pattern_table
 from aofcanon.errors import EmptyInput, WordError
 from aofcanon.oracle import OracleAnswer, closure, oracle_equiv
@@ -174,22 +174,31 @@ def test_uniform_rounds_take_frame_alone(monkeypatch):
     for name in ("r1", "tail_reduce", "in_special_class", "frame"):
         calls[name] = []
 
-        def counted(w, _orig=getattr(pipeline, name), _log=calls[name]):
-            _log.append(len(w))
-            return _orig(w)
+        def counted(w, *windows, _orig=getattr(pipeline, name), _log=calls[name]):
+            # r1 logs its word's length and the windows frame handed it
+            _log.append((len(w), *windows) if windows else len(w))
+            return _orig(w, *windows)
 
         monkeypatch.setattr(pipeline, name, counted)
     n = 1 << 16
     w = slow.thue_morse(n)
     halves = [n >> k for k in range(15)]
     assert pipeline.eqaof(w) == w
-    assert calls == {"r1": [2], "tail_reduce": [], "in_special_class": [], "frame": halves}
-    # one planted cube: frame rejects the input, which takes the full round
+    assert calls == {"r1": [(2, None)], "tail_reduce": [], "in_special_class": [], "frame": halves}
+    # one planted cube: frame rejects the input, which takes the full round,
+    # and r1 searches one window: the scan block that holds the cube and the
+    # seam after it, where the offset changes, widened by 4 letters
     for log in calls.values():
         log.clear()
     k = w.find("aa")
     assert pipeline.eqaof(w[:k] + "a" + w[k:]) == w
-    assert calls == {"r1": [n + 1, 2], "tail_reduce": [n], "in_special_class": [n], "frame": [n + 1] + halves}
+    window = [[0, 2 * frames._SCAN + 6]]
+    assert calls == {
+        "r1": [(n + 1, window), (2, None)],
+        "tail_reduce": [n],
+        "in_special_class": [n],
+        "frame": [n + 1] + halves,
+    }
 
 
 def test_no_round_frames_a_word_twice(monkeypatch):
